@@ -24,7 +24,8 @@ from irredtest import (
     plan_test,
     run_irreducibility_test,
 )
-from irredtest.estimator import LIKELY_REDUCIBLE, TRAP_SPREAD, TRAP_VARS
+from irredtest.estimator import LIKELY_REDUCIBLE
+from irredtest.fixtures import TRAP_SPREAD, TRAP_VARS
 
 
 def main(argv=None):
@@ -35,8 +36,6 @@ def main(argv=None):
                         help="per-tail error budget (default 0.005)")
     parser.add_argument("--primes", type=int, nargs="+", default=[7, 11, 13],
                         help="primes to reduce mod (default: 7 11 13)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="sampling threads per run (default 1)")
     parser.add_argument("--precise", action="store_true",
                         help="plan with the full-precision quantile")
     parser.add_argument("--verbose", action="store_true",
@@ -69,9 +68,7 @@ def main(argv=None):
         fx = make_product_trap_fixture(seed)
         for p in primes:
             bb = from_poly(fx.reduce_mod(fields[p]))
-            verdict = run_irreducibility_test(
-                bb, plans[p], seed, workers=args.workers
-            )
+            verdict = run_irreducibility_test(bb, plans[p], seed)
             reducible = verdict.outcome == LIKELY_REDUCIBLE
             flagged[p] += reducible
             if args.verbose:

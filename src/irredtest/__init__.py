@@ -95,15 +95,15 @@ from .estimator import (
     LIKELY_REDUCIBLE,
     MODE_EXACT,
     MODE_SAMPLED,
-    ProductTrapFixture,
     SampleReport,
     Verdict,
     count_zeros,
+    count_zeros_range,
     estimate_gamma,
     exact_gamma,
-    make_product_trap_fixture,
     run_irreducibility_test,
     sample_points,
 )
+from .fixtures import ProductTrapFixture, make_product_trap_fixture
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .polynomials import SparsePolynomial, parse_poly
 
 
 class BlackBox:
-    """Pure zero-test oracle over field^n; safe to share between workers."""
+    """Pure zero-test oracle over field^n."""
 
     __slots__ = ("field", "n", "label", "_fn")
 

@@ -26,11 +26,10 @@ from .estimator import (
     LIKELY_REDUCIBLE,
     MODE_EXACT,
     estimate_gamma,
-    exact_gamma,
-    make_product_trap_fixture,
     run_irreducibility_test,
 )
 from .fields import GF, make_field
+from .fixtures import make_product_trap_fixture
 from .planner import COMPAT_S, emit_table_csv, plan_test
 from .polynomials import parse_poly
 from .stats import (
@@ -85,7 +84,6 @@ def _build_parser():
     p_run.add_argument("-N", "--samples", type=int, help="estimate only, with this many draws")
     p_run.add_argument("--exact", action="store_true", help="exhaustive count instead of sampling")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--workers", type=int, default=1)
 
     p_dist = sub.add_parser("dist", parents=[common], help="zero-count distributions")
     p_dist.add_argument("--kind", required=True,
@@ -184,17 +182,11 @@ def cmd_run(args) -> int:
         print(_report_json(bb, report))
         return 0
     if args.samples is not None:
-        report = estimate_gamma(
-            bb,
-            args.samples,
-            args.seed,
-            epsilon=args.epsilon,
-            workers=args.workers,
-        )
+        report = estimate_gamma(bb, args.samples, args.seed, epsilon=args.epsilon)
         print(_report_json(bb, report))
         return 0
     plan = plan_test(bb.field.q, bb.n, args.epsilon, s=_plan_quantile(args))
-    verdict = run_irreducibility_test(bb, plan, args.seed, workers=args.workers)
+    verdict = run_irreducibility_test(bb, plan, args.seed)
     print(_report_json(bb, verdict.report, outcome=verdict.outcome))
     if verdict.outcome == INFEASIBLE:
         return 2
@@ -202,27 +194,16 @@ def cmd_run(args) -> int:
 
 
 def _dist_brute(args):
-    """Brute-force pmf when the function space is small enough, else None."""
+    """Brute-force pmf when the function space is within _BF_LIMIT, else None."""
     q, n = args.q, args.n
-    space = q ** (q**n)
     try:
-        if args.kind == "single":
-            if space > _BF_LIMIT:
-                return None
-            return brute_force_distribution(q, n, "single", limit=_BF_LIMIT)
-        if args.kind == "product":
-            if space * space > _BF_LIMIT:
-                return None
-            return brute_force_distribution(q, n, "product", limit=_BF_LIMIT)
+        if args.kind in ("single", "product"):
+            return brute_force_distribution(q, n, args.kind, limit=_BF_LIMIT)
         if args.kind == "intersection":
-            if space > _BF_LIMIT:
-                return None
             pts = _first_points(q, n, args.x_count)
             return brute_force_distribution(q, n, "intersection", x_points=pts, limit=_BF_LIMIT)
         if args.kind == "substitution":
             if args.m is None or args.x_count is None:
-                return None
-            if (q ** args.m) ** (q**n) > _BF_LIMIT:
                 return None
             pts = _first_points(q, args.m, args.x_count)
             return brute_force_distribution(
@@ -234,16 +215,18 @@ def _dist_brute(args):
 
 
 def _first_points(q, dims, count):
-    """The first `count` points of F_q^dims in enumeration order."""
-    pts = []
+    """The first `count` points of F_q^dims in enumeration order.
+
+    A generator, so brute_force_distribution rejects an oversized case
+    before any point is built.
+    """
     for idx in range(count):
         coords = []
         rem = idx
         for _ in range(dims):
             coords.append(rem % q)
             rem //= q
-        pts.append(tuple(reversed(coords)))
-    return pts
+        yield tuple(reversed(coords))
 
 
 def cmd_dist(args) -> int:

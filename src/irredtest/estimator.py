@@ -1,13 +1,12 @@
 """Sampling experiments against zero-test oracles, exact counts, verdicts.
 
 Point i of a run is generated from its own counter stream keyed by
-(seed, i), so a run sharded across any number of workers visits exactly
-the same points and the merged count is bit-identical to a sequential
-pass.
+(seed, i).  count_zeros_range counts any index range of a run, so a run
+split into ranges, counted anywhere and summed, gives the same count as
+one sequential pass.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -15,7 +14,6 @@ from itertools import product as _cartesian
 from .blackbox import BlackBox
 from .errors import ArityMismatch, DomainTooLarge, FieldMismatch, RangeError
 from .planner import TestPlan
-from .polynomials import SparsePolynomial, monomials_up_to
 from .rng import RandomStream
 from .stats import ConfidenceInterval, wald_interval
 
@@ -49,10 +47,13 @@ class Verdict:
     report: SampleReport = None
 
 
-def _point_at(field, n, seed, i):
-    rs = RandomStream(seed, stream=i)
+def _points(field, n, seed, lo, hi):
+    """Points lo..hi-1 of run (seed); point i depends only on (seed, i)."""
     q = field.q
-    return tuple(field.element_from_index(rs.next_below(q)) for _ in range(n))
+    from_index = field.element_from_index
+    for i in range(lo, hi):
+        rs = RandomStream(seed, stream=i)
+        yield tuple(from_index(rs.next_below(q)) for _ in range(n))
 
 
 def sample_points(field, n: int, count: int, seed: int):
@@ -61,41 +62,30 @@ def sample_points(field, n: int, count: int, seed: int):
         raise ArityMismatch(f"need at least one variable, got {n}")
     if count < 0:
         raise RangeError(f"sample count must be >= 0, got {count}")
-    return [_point_at(field, n, seed, i) for i in range(count)]
+    return list(_points(field, n, seed, 0, count))
 
 
-def _count_zeros_range(bb, seed, lo, hi):
-    field, n = bb.field, bb.n
-    q = field.q
-    from_index = field.element_from_index
+def count_zeros_range(bb: BlackBox, seed: int, lo: int, hi: int) -> int:
+    """Zero hits among points lo..hi-1 of the run (seed).
+
+    The counts of contiguous ranges covering [0, N) sum to
+    count_zeros(bb, N, seed), wherever each range is counted.
+    """
+    if not 0 <= lo <= hi:
+        raise RangeError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
     probe = bb.is_zero_at
     hits = 0
-    for i in range(lo, hi):
-        rs = RandomStream(seed, stream=i)
-        pt = tuple(from_index(rs.next_below(q)) for _ in range(n))
+    for pt in _points(bb.field, bb.n, seed, lo, hi):
         if probe(pt):
             hits += 1
     return hits
 
 
-def count_zeros(bb: BlackBox, n_samples: int, seed: int, workers: int = 1) -> int:
-    """Zero hits among the first n_samples points of the run (seed).
-
-    Sharding over workers changes only wall time, never the count.
-    """
+def count_zeros(bb: BlackBox, n_samples: int, seed: int) -> int:
+    """Zero hits among the first n_samples points of the run (seed)."""
     if n_samples < 0:
         raise RangeError(f"sample count must be >= 0, got {n_samples}")
-    if workers <= 1 or n_samples < 2:
-        return _count_zeros_range(bb, seed, 0, n_samples)
-    step = -(-n_samples // workers)
-    spans = [
-        (lo, min(lo + step, n_samples)) for lo in range(0, n_samples, step)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            lambda span: _count_zeros_range(bb, seed, span[0], span[1]), spans
-        )
-        return sum(parts)
+    return count_zeros_range(bb, seed, 0, n_samples)
 
 
 def exact_gamma(bb: BlackBox, cap: int = EXACT_CAP_DEFAULT) -> Fraction:
@@ -116,7 +106,6 @@ def estimate_gamma(
     n_samples: int,
     seed: int,
     epsilon: float = 0.005,
-    workers: int = 1,
     mode: str = "auto",
     exact_cap: int = EXACT_CAP_DEFAULT,
 ) -> SampleReport:
@@ -150,7 +139,7 @@ def estimate_gamma(
         )
     if n_samples < 1:
         raise RangeError(f"need at least one sample, got {n_samples}")
-    hits = count_zeros(bb, n_samples, seed, workers=workers)
+    hits = count_zeros(bb, n_samples, seed)
     elapsed = time.perf_counter() - start
     return SampleReport(
         N=n_samples,
@@ -163,9 +152,7 @@ def estimate_gamma(
     )
 
 
-def run_irreducibility_test(
-    bb: BlackBox, plan: TestPlan, seed: int, workers: int = 1
-) -> Verdict:
+def run_irreducibility_test(bb: BlackBox, plan: TestPlan, seed: int) -> Verdict:
     """Execute a plan against an oracle and call the verdict.
 
     Always draws exactly plan.N fresh samples (no exact shortcut), so the
@@ -177,110 +164,8 @@ def run_irreducibility_test(
         raise ArityMismatch(f"oracle arity {bb.n}, plan for {plan.n}")
     if not plan.feasible:
         return Verdict(outcome=INFEASIBLE, plan=plan)
-    report = estimate_gamma(
-        bb, plan.N, seed, epsilon=plan.epsilon, workers=workers, mode="sample"
-    )
+    report = estimate_gamma(bb, plan.N, seed, epsilon=plan.epsilon, mode="sample")
     outcome = (
         LIKELY_IRREDUCIBLE if report.k <= plan.threshold_k else LIKELY_REDUCIBLE
     )
     return Verdict(outcome=outcome, plan=plan, report=report)
-
-
-# ---------------------------------------------------------------------------
-# the product trap fixture
-
-TRAP_VARS = 4
-TRAP_FACTOR_DEGREE = 5
-TRAP_COFACTOR_DEGREE = 10
-TRAP_SPREAD = 7
-_COEFF_LO, _COEFF_HI = -9, 9
-
-
-def _int_poly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _int_poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _random_int_poly(nvars, degree, stream):
-    span = _COEFF_HI - _COEFF_LO + 1
-    while True:
-        terms = {}
-        has_top = False
-        for exps in monomials_up_to(nvars, degree):
-            c = _COEFF_LO + stream.next_below(span)
-            if c:
-                terms[exps] = c
-                if sum(exps) == degree:
-                    has_top = True
-        if has_top:  # keep the nominal degree exact
-            return terms
-
-
-@dataclass(frozen=True)
-class ProductTrapFixture:
-    """f = f1*f2 + 7*f3 with integer coefficients in [-9, 9].
-
-    Reduced mod 7 the cofactor term drops and f becomes the product f1*f2,
-    an obvious reducible; at any other prime the extra term generically
-    restores irreducibility.  Useful as a ground-truth pair for verdict
-    testing: same integer polynomial, opposite expected answers depending
-    on the reduction prime.
-    """
-
-    seed: int
-    f1: dict
-    f2: dict
-    f3: dict
-    f: dict
-
-    def reduce_mod(self, field) -> SparsePolynomial:
-        return _reduce_int_poly(self.f, field)
-
-    def factors_mod(self, field):
-        return (
-            _reduce_int_poly(self.f1, field),
-            _reduce_int_poly(self.f2, field),
-        )
-
-
-def _reduce_int_poly(terms, field) -> SparsePolynomial:
-    return SparsePolynomial(
-        field, TRAP_VARS, {e: field.from_int(c) for e, c in terms.items()}
-    )
-
-
-# fixture construction draws from a stream id far above any sampling
-# stream (those are the point indices 0..N-1), so reusing one seed for
-# both the fixture and its test run keeps the draws independent
-FIXTURE_STREAM = 1 << 32
-
-
-def make_product_trap_fixture(seed: int) -> ProductTrapFixture:
-    """Deterministic trap instance; draws come from FIXTURE_STREAM of `seed`."""
-    stream = RandomStream(seed, stream=FIXTURE_STREAM)
-    f1 = _random_int_poly(TRAP_VARS, TRAP_FACTOR_DEGREE, stream)
-    f2 = _random_int_poly(TRAP_VARS, TRAP_FACTOR_DEGREE, stream)
-    f3 = _random_int_poly(TRAP_VARS, TRAP_COFACTOR_DEGREE, stream)
-    f = _int_poly_add(
-        _int_poly_mul(f1, f2), {e: TRAP_SPREAD * c for e, c in f3.items()}
-    )
-    return ProductTrapFixture(seed=seed, f1=f1, f2=f2, f3=f3, f=f)

@@ -64,7 +64,10 @@ def adjusted_probabilities(q, n, epsilon, s=None):
     _check_args(q, n, epsilon)
     if s is None:
         s = inverse_tail_quantile(epsilon)
-    points = float(q) ** n
+    try:
+        points = float(q) ** n
+    except OverflowError:  # q^n beyond float range: the adjustment is 0
+        points = math.inf
     a = 1.0 / q
     b = (2.0 * q - 1.0) / (q * q)
     p1 = a + s * math.sqrt(a * (1.0 - a) / points)
@@ -144,7 +147,9 @@ def plan_test(q: int, n: int, epsilon: float, s=None) -> TestPlan:
         p_middle=boundary,
         N=n_samples,
         threshold_k=threshold,
-        exceeds_point_count=n_samples > q**n,
+        # q^n >= 2^n > n_samples once n reaches its bit length; this
+        # keeps q^n from being built at huge n
+        exceeds_point_count=n < n_samples.bit_length() and n_samples > q**n,
     )
 
 

@@ -1,8 +1,8 @@
 """Counter-based pseudo-random streams (Philox 4x32, 10 rounds).
 
 Draw number i of a given stream is a pure function of (seed, stream, i),
-so disjoint index ranges can be generated by independent workers and the
-merged result is identical to a single sequential pass.  The generator is
+so disjoint index ranges can be generated independently and the merged
+result is identical to a single sequential pass.  The generator is
 fixed: changing it would silently change every sampled experiment.
 """
 

@@ -248,6 +248,17 @@ def _as_point_indices(q, dims, points):
     return sorted(set(idx))
 
 
+def _bounded_power(q, exponent, limit, what):
+    """q^exponent, or TooLarge when it exceeds limit, never building a huge power.
+
+    For q >= 2, q^exponent >= 2^exponent > limit once exponent reaches
+    limit.bit_length().
+    """
+    if exponent >= limit.bit_length() or q**exponent > limit:
+        raise TooLarge(f"{q}^{exponent} {what} exceed the limit {limit}")
+    return q**exponent
+
+
 def brute_force_distribution(
     q: int,
     n: int,
@@ -267,19 +278,14 @@ def brute_force_distribution(
     """
     _check_qn(q, n)
     domain = q**n
-    counts = [0] * (domain + 1)
-
     if kind == KIND_SINGLE:
-        total = q ** domain
-        if total > limit:
-            raise TooLarge(f"{total} functions exceed the limit {limit}")
+        total = _bounded_power(q, domain, limit, "functions")
+        counts = [0] * (domain + 1)
         for table in _cartesian(range(q), repeat=domain):
             counts[sum(1 for v in table if v == 0)] += 1
     elif kind == KIND_PRODUCT:
-        per = q ** domain
-        total = per * per
-        if total > limit:
-            raise TooLarge(f"{total} function pairs exceed the limit {limit}")
+        total = _bounded_power(q, 2 * domain, limit, "function pairs")
+        counts = [0] * (domain + 1)
         tables = list(_cartesian(range(q), repeat=domain))
         zero_masks = [tuple(v == 0 for v in t) for t in tables]
         for za in zero_masks:
@@ -288,10 +294,9 @@ def brute_force_distribution(
     elif kind == KIND_INTERSECTION:
         if x_points is None:
             raise EmptyList("intersection needs the point set x_points")
+        total = _bounded_power(q, domain, limit, "functions")
         xs = _as_point_indices(q, n, x_points)
-        total = q ** domain
-        if total > limit:
-            raise TooLarge(f"{total} functions exceed the limit {limit}")
+        counts = [0] * (domain + 1)
         for table in _cartesian(range(q), repeat=domain):
             counts[sum(1 for i in xs if table[i] == 0)] += 1
     elif kind == KIND_SUBSTITUTION:
@@ -299,11 +304,10 @@ def brute_force_distribution(
             raise RangeError("substitution needs the target dimension m >= 1")
         if x_points is None:
             raise EmptyList("substitution needs the target point set x_points")
+        total = _bounded_power(q, m * domain, limit, "maps")
         codomain = q**m
         xs = set(_as_point_indices(q, m, x_points))
-        total = codomain ** domain
-        if total > limit:
-            raise TooLarge(f"{total} maps exceed the limit {limit}")
+        counts = [0] * (domain + 1)
         for table in _cartesian(range(codomain), repeat=domain):
             counts[sum(1 for v in table if v in xs)] += 1
     else:

@@ -4,7 +4,7 @@ Each test here pins one externally meaningful behavior: replication of the
 published reference grids, the worked numeric examples, exact agreement
 between analytic models and brute-force enumeration, and the statistical
 guarantees of the sampling machinery (trap detection, interval coverage,
-worker invariance).  Every test prints a single PASS/FAIL line (visible
+range-split invariance).  Every test prints a single PASS/FAIL line (visible
 under `pytest -s`) and enforces a wall-clock budget.
 
 Run with:  pytest tests/test_acceptance.py -v -s
@@ -20,6 +20,7 @@ from irredtest import (
     GF,
     TABLE_QS,
     brute_force_distribution,
+    count_zeros_range,
     curve_determinantal_matrix,
     det_expectation,
     det_rank_bb,
@@ -40,11 +41,8 @@ from irredtest import (
     total_degree,
     wald_interval,
 )
-from irredtest.estimator import (
-    FIXTURE_STREAM,
-    LIKELY_IRREDUCIBLE,
-    LIKELY_REDUCIBLE,
-)
+from irredtest.estimator import LIKELY_IRREDUCIBLE, LIKELY_REDUCIBLE
+from irredtest.fixtures import FIXTURE_STREAM
 from irredtest.rng import RandomStream
 
 EPS = 0.005
@@ -237,8 +235,8 @@ def test_c08_singular_cubic_coverage():
     assert covered >= 18, f"interval covered the exact value {covered}/20 times"
 
 
-@criterion("criterion 09  worker-count invariance", 60.0)
-def test_c09_worker_invariance():
+@criterion("criterion 09  range-split invariance", 60.0)
+def test_c09_range_split_invariance():
     f7 = GF(7)
     oracles = [
         from_poly(parse_poly("x1*x2^2 + x2*x3 + 2", f7, 3)),
@@ -246,12 +244,13 @@ def test_c09_worker_invariance():
         singular_curve_bb(2, GF(3), ext_bound=1),
     ]
     for bb in oracles:
-        reports = [
-            estimate_gamma(bb, 997, 2024, epsilon=EPS, mode="sample", workers=w)
-            for w in (1, 2, 8)
-        ]
-        results = {(r.k, r.N) for r in reports}
-        assert len(results) == 1, f"{bb.label}: shard-dependent counts {results}"
+        k = estimate_gamma(bb, 997, 2024, epsilon=EPS, mode="sample").k
+        for splits in (1, 2, 8):
+            step = -(-997 // splits)
+            bounds = [*range(0, 997, step), 997]
+            parts = [count_zeros_range(bb, 2024, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            assert len(parts) == splits
+            assert sum(parts) == k, f"{bb.label}: {splits} splits give {sum(parts)}, not {k}"
 
 
 @criterion("criterion 10  interval coverage on random sextics (q=3, n=4)", 300.0)

@@ -19,6 +19,7 @@ from irredtest import (
     RandomStream,
     RangeError,
     count_zeros,
+    count_zeros_range,
     estimate_gamma,
     exact_gamma,
     from_poly,
@@ -140,9 +141,22 @@ def test_estimate_agrees_with_exact_gamma():
 
 def test_sharded_counts_are_identical():
     bb = from_poly(parse_poly("x1*x2 + x3", F5, 3))
-    base = count_zeros(bb, 3000, seed=21, workers=1)
-    for workers in (2, 3, 8):
-        assert count_zeros(bb, 3000, seed=21, workers=workers) == base
+    base = count_zeros(bb, 3000, seed=21)
+    for cuts in ([1500], [1000, 2000], [1, 375, 750, 1125, 1500, 1875, 2250, 2625]):
+        bounds = [0, *cuts, 3000]
+        parts = [count_zeros_range(bb, 21, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert sum(parts) == base
+    assert count_zeros_range(bb, 21, 3000, 3000) == 0
+
+
+def test_count_zeros_range_rejects_bad_ranges():
+    bb = from_poly(parse_poly("x1", F5, 2))
+    with pytest.raises(RangeError):
+        count_zeros_range(bb, 0, -1, 10)
+    with pytest.raises(RangeError):
+        count_zeros_range(bb, 0, 10, 9)
+    with pytest.raises(RangeError):
+        count_zeros(bb, -1, 0)
 
 
 def test_verdict_outcomes():

@@ -95,6 +95,18 @@ def test_plan_anchor_cells():
         assert 0 < plan.threshold_k < plan.N
 
 
+def test_plan_beyond_float_range():
+    # 7^400 and 2^1100 overflow a float; the one-shot adjustment is then 0
+    plan = plan_test(7, 400, 0.005)
+    assert plan.feasible
+    assert plan.p1 == 1 / 7 and plan.p2 == 13 / 49
+    assert plan.exceeds_point_count is False
+    p1, p2 = adjusted_probabilities(2, 1100, 0.005)
+    assert (p1, p2) == (0.5, 0.75)
+    # 2^(10^12) would not fit in memory; the plan never builds it
+    assert plan_test(2, 10**12, 0.005).exceeds_point_count is False
+
+
 def test_plan_infeasible_cells():
     for q, n in ((2, 2), (3, 4), (17, 2), (2, 6)):
         plan = plan_test(q, n, 0.005, s=COMPAT_S)

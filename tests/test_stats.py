@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,15 @@ def test_brute_force_limits_and_errors():
         brute_force_distribution(5, 2, "single")
     with pytest.raises(TooLarge):
         brute_force_distribution(2, 2, "single", limit=10)
+    # rejected by the exponent, before q^domain or the count table is built
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"3\^43046721 functions"):
+        brute_force_distribution(3, 16, "single")
+    with pytest.raises(TooLarge, match=r"2\^8192 function pairs"):
+        brute_force_distribution(2, 12, "product")
+    with pytest.raises(TooLarge, match=r"2\^40960 maps"):
+        brute_force_distribution(2, 12, "substitution", x_points=[(0,) * 10], m=10)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(RangeError):
         brute_force_distribution(2, 1, "nonsense")
     with pytest.raises(RangeError):
