@@ -13,7 +13,7 @@ from .errors import (
     RangeError,
     UnsupportedSize,
 )
-from .fields import Field, extension_of, make_field
+from .fields import Field, extension_of, make_field, power_exceeds
 from .polynomials import SparsePolynomial, parse_poly
 
 
@@ -360,7 +360,9 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
     over some extension of degree e <= ext_bound; intersection bounds put
     every singular point of a degree-d curve within degree (d-1)^2, which is
     the default bound.  The zero form counts as singular.  Points are scanned
-    over the smallest extensions first.
+    over the smallest extensions first.  work_cap bounds both q^(3*ext_bound)
+    and the stage tables: one entry per monomial and projective point, that
+    is m * sum(q^(2e) + q^e + 1 for e <= ext_bound) with m = (d+1)(d+2)/2.
     """
     if d < 1:
         raise RangeError(f"form degree must be >= 1, got {d}")
@@ -368,12 +370,18 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
         ext_bound = max(1, (d - 1) ** 2)
     if ext_bound < 1:
         raise RangeError(f"extension bound must be >= 1, got {ext_bound}")
-    if field.q ** (3 * ext_bound) > work_cap:
+    q = field.q
+    if power_exceeds(q, 3 * ext_bound, work_cap):
         raise UnsupportedSize(
-            f"q^(3*ext_bound) = {field.q}^{3 * ext_bound} exceeds the work cap {work_cap}"
+            f"q^(3*ext_bound) = {q}^{3 * ext_bound} exceeds the work cap {work_cap}"
+        )
+    m = (d + 1) * (d + 2) // 2
+    points = sum(q ** (2 * e) + q**e + 1 for e in range(1, ext_bound + 1))
+    if m * points > work_cap:
+        raise UnsupportedSize(
+            f"stage tables of {m} monomials x {points} points exceed the work cap {work_cap}"
         )
     mons = ternary_monomials(d)
-    m = len(mons)
     packed = field.q == 2
     stages = [
         _build_stage(field, e, mons, work_cap, packed)

@@ -20,7 +20,7 @@ from .blackbox import (
     singular_curve_bb,
     ternary_monomials,
 )
-from .errors import Error, InfeasibleOrder
+from .errors import Error, InfeasibleOrder, OrderOverflow, TooLarge
 from .estimator import (
     INFEASIBLE,
     LIKELY_REDUCIBLE,
@@ -28,7 +28,7 @@ from .estimator import (
     estimate_gamma,
     run_irreducibility_test,
 )
-from .fields import GF, make_field
+from .fields import GF, ORDER_CAP, make_field, power_exceeds
 from .fixtures import make_product_trap_fixture
 from .planner import COMPAT_S, emit_table_csv, plan_test
 from .polynomials import parse_poly
@@ -41,6 +41,7 @@ from .stats import (
     brute_force_distribution,
 )
 
+# most functions `dist` enumerates by brute force, and most rows it prints
 _BF_LIMIT = 10**6
 
 
@@ -247,10 +248,16 @@ def cmd_dist(args) -> int:
         if args.gamma_x is not None:
             gamma_x = Fraction(args.gamma_x)
         elif args.x_count is not None and args.m is not None:
+            if q < 2 or args.m < 1:
+                raise _UsageError("--x-count with --m needs -q >= 2 and --m >= 1")
+            if power_exceeds(q, args.m, ORDER_CAP - 1):
+                raise OrderOverflow(f"{q}^{args.m} target points exceed 2^63")
             gamma_x = Fraction(args.x_count, q**args.m)
         else:
             raise _UsageError("--kind substitution needs --gamma-x or --x-count with --m")
         model = substitution_model(q, n, gamma_x)
+    if model.trials + 1 > _BF_LIMIT:
+        raise TooLarge(f"{model.trials + 1} rows exceed the limit {_BF_LIMIT}")
     brute = _dist_brute(args)
     print(
         f"# kind={args.kind} q={q} n={n} trials={model.trials}"

@@ -13,6 +13,7 @@ from itertools import product as _cartesian
 
 from .blackbox import BlackBox
 from .errors import ArityMismatch, DomainTooLarge, FieldMismatch, RangeError
+from .fields import power_exceeds
 from .planner import TestPlan
 from .rng import RandomStream
 from .stats import ConfidenceInterval, wald_interval
@@ -90,9 +91,10 @@ def count_zeros(bb: BlackBox, n_samples: int, seed: int) -> int:
 
 def exact_gamma(bb: BlackBox, cap: int = EXACT_CAP_DEFAULT) -> Fraction:
     """Exact zero fraction by visiting every point of field^n."""
-    domain = bb.field.q ** bb.n
-    if domain > cap:
-        raise DomainTooLarge(f"{domain} points exceed the exact-count cap {cap}")
+    q, n = bb.field.q, bb.n
+    if power_exceeds(q, n, cap):
+        raise DomainTooLarge(f"{q}^{n} points exceed the exact-count cap {cap}")
+    domain = q**n
     hits = 0
     probe = bb.is_zero_at
     for pt in _cartesian(bb.field.elements(), repeat=bb.n):
@@ -118,14 +120,15 @@ def estimate_gamma(
     """
     if mode not in ("auto", "sample", "exact"):
         raise RangeError(f"unknown mode {mode!r}")
-    domain = bb.field.q ** bb.n
+    q, n = bb.field.q, bb.n
     use_exact = mode == "exact" or (
-        mode == "auto" and domain <= exact_cap and n_samples >= domain
+        mode == "auto" and not power_exceeds(q, n, exact_cap) and n_samples >= q**n
     )
     start = time.perf_counter()
     if use_exact:
         frac = exact_gamma(bb, cap=exact_cap)
         elapsed = time.perf_counter() - start
+        domain = q**n
         return SampleReport(
             N=domain,
             k=frac.numerator * (domain // frac.denominator),

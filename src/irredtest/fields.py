@@ -4,7 +4,8 @@ Elements are plain Python values: residues (ints in [0, p)) for prime
 fields, coefficient tuples of length k for extensions, coordinates listed
 constant-first against a fixed monic irreducible modulus.  A Field object
 owns the arithmetic; elements themselves carry no back-reference, which
-keeps them hashable and cheap.
+keeps them hashable and cheap.  An extension modulus is checked by Ben-Or's
+test, polynomial in k and log p, so every p^k < 2^63 builds in milliseconds.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,16 @@ from .errors import (
 )
 
 ORDER_CAP = 1 << 63
+
+
+def power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """base^exponent > limit, for base >= 2, without building a huge power.
+
+    base^exponent >= 2^exponent > limit once exponent reaches
+    limit.bit_length(), so the power is built only below that.
+    """
+    return exponent >= limit.bit_length() or base**exponent > limit
+
 
 # Deterministic Miller-Rabin witness set, exact for n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -118,35 +129,46 @@ def _poly_divmod(a, b, p):
     return q, a
 
 
-def _poly_is_irreducible(coeffs, p, work_cap=5_000_000):
-    """Exhaustive irreducibility check for a monic univariate over F_p."""
+def _poly_gcdex(a, b, p):
+    """(g, s) with g the monic gcd of a monic a and b over F_p, s*b == g mod a.
+
+    Extended Euclid on coefficient lists, constant first.
+    """
+    r0, r1 = list(a), list(b)
+    while len(r1) > 1 and r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [0], [1]
+    while r1 != [0]:
+        qpoly, rem = _poly_divmod(r0, r1, p)
+        s_next = s0 + [0] * (len(qpoly) + len(s1) - 1 - len(s0))
+        for i, qc in enumerate(qpoly):
+            if qc:
+                for j, sc in enumerate(s1):
+                    s_next[i + j] = (s_next[i + j] - qc * sc) % p
+        while len(s_next) > 1 and s_next[-1] == 0:
+            s_next.pop()
+        r0, r1 = r1, rem
+        s0, s1 = s1, s_next
+    scale = pow(r0[-1], p - 2, p)
+    return [c * scale % p for c in r0], [c * scale % p for c in s0]
+
+
+def _poly_is_irreducible(coeffs, p):
+    """Ben-Or's test for a monic univariate over F_p.
+
+    A monic m of degree k > 1 is irreducible iff gcd(x^(p^i) - x, m) = 1
+    for every 1 <= i <= k/2, since each irreducible of degree d divides
+    x^(p^d) - x.  F_p[x]/(m) arithmetic takes no inverse, so m may factor.
+    """
     k = len(coeffs) - 1
-    if coeffs[0] == 0:
-        return k == 1
     if k == 1:
         return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
+    ring = ExtensionField(FieldSpec(p, k, tuple(coeffs)))
+    x = h = (0, 1) + (0,) * (k - 2)
+    for _ in range(k // 2):
+        h = ring.pow(h, p)
+        if _poly_gcdex(coeffs, ring.sub(h, x), p)[0] != [1]:
             return False
-    if k <= 3:
-        # degree 2 and 3: reducible implies a linear factor
-        return True
-    if p ** (k // 2) > work_cap:
-        raise UnsupportedSize(
-            f"irreducibility search over F_{p} at degree {k} exceeds the work cap"
-        )
-    for d in range(2, k // 2 + 1):
-        for idx in range(p ** d):
-            tail, t = [], idx
-            for _ in range(d):
-                tail.append(t % p)
-                t //= p
-            _, rem = _poly_divmod(coeffs, tail + [1], p)
-            if rem == [0]:
-                return False
     return True
 
 
@@ -328,29 +350,8 @@ class ExtensionField(Field):
     def inv(self, a):
         if all(c == 0 for c in a):
             raise DivisionByZero(f"0 has no inverse in F_{self.p}^{self.k}")
-        p = self.p
-        # extended Euclid on (a, modulus) over F_p[x]
-        r0, r1 = list(self.modulus), list(a)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [0], [1]
-        while r1 != [0]:
-            qpoly, rem = _poly_divmod(r0, r1, p)
-            s_next = list(s0)
-            if len(s_next) < len(qpoly) + len(s1) - 1:
-                s_next += [0] * (len(qpoly) + len(s1) - 1 - len(s_next))
-            for i, qc in enumerate(qpoly):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s_next[i + j] = (s_next[i + j] - qc * sc) % p
-            while len(s_next) > 1 and s_next[-1] == 0:
-                s_next.pop()
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
-        scale = pow(r0[0], p - 2, p)  # r0 is a nonzero constant gcd
-        coeffs = [c * scale % p for c in s0]
-        coeffs += [0] * (self.k - len(coeffs))
-        return tuple(coeffs[: self.k])
+        _, coeffs = _poly_gcdex(self.modulus, a, self.p)
+        return tuple(coeffs) + (0,) * (self.k - len(coeffs))
 
     def from_int(self, c: int):
         return (c % self.p,) + (0,) * (self.k - 1)
@@ -373,7 +374,7 @@ def make_field(spec) -> Field:
         spec = FieldSpec.parse(spec)
     if not is_prime(spec.p):
         raise NonPrimeCharacteristic(f"{spec.p} is not prime")
-    if spec.p ** spec.k >= ORDER_CAP:
+    if power_exceeds(spec.p, spec.k, ORDER_CAP - 1):
         raise OrderOverflow(f"field order {spec.p}^{spec.k} exceeds 2^63")
     if spec.k == 1:
         return PrimeField(spec)
@@ -395,7 +396,7 @@ def GF(p: int, k: int = 1, modulus=None) -> Field:
         return make_field(FieldSpec(p))
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
-    if p ** k >= ORDER_CAP:
+    if power_exceeds(p, k, ORDER_CAP - 1):
         raise OrderOverflow(f"field order {p}^{k} exceeds 2^63")
     if modulus is None:
         modulus = DEFAULT_MODULI.get((p, k)) or find_irreducible(p, k)
@@ -416,9 +417,7 @@ def extension_of(field: Field, e: int, work_cap: int = 10_000_000):
         return field, lambda a: a
     p = field.p
     big_k = field.k * e
-    if p ** big_k >= ORDER_CAP:
-        raise OrderOverflow(f"extension order {p}^{big_k} exceeds 2^63")
-    if p ** big_k > work_cap:
+    if power_exceeds(p, big_k, work_cap):
         raise UnsupportedSize(
             f"extension of order {p}^{big_k} exceeds the work cap {work_cap}"
         )

@@ -3,16 +3,20 @@
 Counting zeros of a uniformly random function f : F_q^n -> F_q at the
 q^n domain points is a binomial experiment; the models below record the
 exact success probabilities as Fractions so that identities can be tested
-with equality, not tolerance.  Normal approximations and quantiles serve
-the planning side, where floats are the right tool.
+with equality, not tolerance.  Normal approximations and quantiles (from
+statistics.NormalDist) serve the planning side, where floats are the right
+tool.  Sizes q^n are compared with their limits through
+fields.power_exceeds, so an oversized case never builds its power.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from statistics import NormalDist
 
 from .errors import EmptyList, OrderOverflow, RangeError, TooLarge
+from .fields import ORDER_CAP, power_exceeds
 
 KIND_SINGLE = "single"
 KIND_PRODUCT = "product"
@@ -118,7 +122,7 @@ def _check_qn(q, n):
         raise RangeError(f"field order must be >= 2, got {q}")
     if n < 1:
         raise RangeError(f"need at least one variable, got {n}")
-    if q**n >= 1 << 63:
+    if power_exceeds(q, n, ORDER_CAP - 1):
         raise OrderOverflow(f"{q}^{n} points exceed the supported 64-bit range")
 
 
@@ -189,29 +193,11 @@ def det_expectation(q: int, r: int, c: int) -> Fraction:
 # quantiles and intervals
 
 def inverse_tail_quantile(epsilon: float) -> float:
-    """s such that the upper Gaussian tail beyond s has mass epsilon.
-
-    Solved by bisection on the complementary error function; accurate to
-    about 1e-9 over the supported range 0 < epsilon <= 1/2.
-    """
+    """s such that the upper Gaussian tail beyond s has mass epsilon,
+    for 0 < epsilon <= 1/2."""
     if not 0 < epsilon <= 0.5:
         raise RangeError(f"tail mass must be in (0, 1/2], got {epsilon}")
-    lo, hi = 0.0, 40.0
-
-    def tail(s):
-        return 0.5 * math.erfc(s / math.sqrt(2))
-
-    if tail(hi) > epsilon:
-        raise RangeError(f"tail mass {epsilon} too small to invert")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > epsilon:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return -NormalDist().inv_cdf(epsilon)
 
 
 def wald_interval(k: int, n_samples: int, epsilon: float) -> ConfidenceInterval:
@@ -249,12 +235,8 @@ def _as_point_indices(q, dims, points):
 
 
 def _bounded_power(q, exponent, limit, what):
-    """q^exponent, or TooLarge when it exceeds limit, never building a huge power.
-
-    For q >= 2, q^exponent >= 2^exponent > limit once exponent reaches
-    limit.bit_length().
-    """
-    if exponent >= limit.bit_length() or q**exponent > limit:
+    """q^exponent, or TooLarge when it exceeds limit, never building a huge power."""
+    if power_exceeds(q, exponent, limit):
         raise TooLarge(f"{q}^{exponent} {what} exceed the limit {limit}")
     return q**exponent
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,16 @@ def test_singular_extension_base_field():
 def test_singular_work_cap():
     with pytest.raises(UnsupportedSize):
         singular_curve_bb(3, F5)  # default bound (d-1)^2 = 4: 5^12 points
+    # stage tables: 10 cubic monomials x (13 + 91) points over F_3 and F_9
+    with pytest.raises(UnsupportedSize, match="10 monomials x 104 points"):
+        singular_curve_bb(3, F3, ext_bound=2, work_cap=1039)
+    assert singular_curve_bb(3, F3, ext_bound=2, work_cap=1040).n == 10
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSize):
+        singular_curve_bb(10_000, F2, ext_bound=1)
+    with pytest.raises(UnsupportedSize):
+        singular_curve_bb(3, F3, ext_bound=30_000_000)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(RangeError):
         singular_curve_bb(0, F2)
     bb = singular_curve_bb(3, F5, ext_bound=2)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,25 @@ def test_dist_large_case_is_analytic_only(capsys):
     assert "mean=0.17355371900826447" in lines[0]
     assert lines[1] == "k,p_analytic"
     assert len(lines) == 2 + 11**4 + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--fixture", "singular", "-q", "3", "--ext-bound", "30000000", "-N", "10"),
+        ("run", "--fixture", "singular", "-q", "2", "-d", "10000", "--ext-bound", "1"),
+        ("dist", "--kind", "single", "-q", "3", "-n", "10000000"),
+        ("dist", "--kind", "single", "-q", "13", "-n", "9"),  # 13^9 + 1 rows
+        ("dist", "--kind", "single", "-q", "2", "-n", "20"),  # 2^20 + 1 rows
+        ("dist", "--kind", "substitution", "-q", "3", "--x-count", "1", "--m", "10000000"),
+        ("dist", "--kind", "substitution", "-q", "0", "--x-count", "1", "--m", "3"),
+    ],
+)
+def test_oversized_inputs_exit_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_dist_det(capsys):

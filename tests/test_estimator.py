@@ -7,6 +7,7 @@ import pytest
 
 from irredtest import (
     ArityMismatch,
+    BlackBox,
     COMPAT_S,
     DomainTooLarge,
     FieldMismatch,
@@ -74,6 +75,12 @@ def test_exact_gamma_cap():
     bb = from_poly(parse_poly("x1", F3, 20))
     with pytest.raises(DomainTooLarge):
         exact_gamma(bb)
+    # rejected by the exponent; 2^(10^12) is never built
+    wide = BlackBox(F2, 10**12, lambda pt: True)
+    with pytest.raises(DomainTooLarge):
+        exact_gamma(wide)
+    with pytest.raises(DomainTooLarge):
+        estimate_gamma(wide, 10, seed=0, mode="exact")
 
 
 def test_estimate_constant_oracles():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from irredtest import (
     is_prime,
     make_field,
 )
+from irredtest.fields import _poly_is_irreducible, power_exceeds
 
 SMALL_FIELDS = [
     GF(2),
@@ -123,6 +125,17 @@ def test_order_overflow():
         make_field(FieldSpec(18446744073709551557))  # prime, >= 2^63
     with pytest.raises(OrderOverflow):
         GF(2, 64)
+    with pytest.raises(OrderOverflow):
+        GF(2, 10**12)  # rejected by the exponent; 2^(10^12) is never built
+
+
+def test_power_exceeds_boundaries():
+    assert not power_exceeds(2, 3, 8)
+    assert power_exceeds(2, 4, 8)
+    assert power_exceeds(3, 2, 8)
+    assert not power_exceeds(2, 62, (1 << 63) - 1)
+    assert power_exceeds(2, 63, (1 << 63) - 1)
+    assert power_exceeds(2, 10**15, 10**7)
 
 
 def test_field_spec_shape_validation():
@@ -145,6 +158,52 @@ def test_spec_string_round_trip():
     for bad in ("", "x", "4^", "2^2", "2^2:1,1", "2^a:1,1,1"):
         with pytest.raises(RangeError):
             FieldSpec.parse(bad)
+
+
+def _mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@pytest.mark.parametrize("p, max_k", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_irreducible_counts_match_gauss_formula(p, max_k):
+    # monic irreducibles of degree k over F_p: (1/k) sum_{d | k} mu(d) p^(k/d)
+    for k in range(1, max_k + 1):
+        expected = sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        accepted = sum(
+            _poly_is_irreducible(tail + (1,), p)
+            for tail in itertools.product(range(p), repeat=k)
+        )
+        assert accepted == expected, (p, k)
+
+
+def test_find_irreducible_keeps_its_scan_order():
+    recorded = {
+        (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+        (2, 26): (1, 1, 0, 1, 1) + (0,) * 21 + (1,),
+        (3, 16): (1, 0, 1, 1) + (0,) * 12 + (1,),
+        (5, 10): (3, 1, 1) + (0,) * 7 + (1,),
+    }
+    for (p, k), modulus in recorded.items():
+        assert find_irreducible(p, k) == modulus
+
+
+def test_large_moduli_build_fast():
+    start = time.perf_counter()
+    assert make_field(FieldSpec(2, 44, find_irreducible(2, 44))).q == 2**44
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert make_field("10000019^2:10000017,0,1").q == 10000019**2  # x^2 - 2
+    with pytest.raises(ReducibleModulus):
+        make_field("10000019^2:10000018,0,1")  # x^2 - 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_default_moduli_match_search():

@@ -57,6 +57,8 @@ def test_gamma_model_parameters():
         gamma_model(3, 0)
     with pytest.raises(OrderOverflow):
         gamma_model(2, 64)
+    with pytest.raises(OrderOverflow):
+        gamma_model(3, 10**12)  # rejected by the exponent, never built
 
 
 def test_gamma_normal_approx_published_values():
@@ -135,6 +137,7 @@ def test_inverse_tail_quantile_against_quadrature():
     assert abs(inverse_tail_quantile(0.5)) <= 1e-9
     assert abs(inverse_tail_quantile(0.005) - 2.5758293) <= 1e-6
     assert abs(inverse_tail_quantile(0.0013499) - 3.0) <= 1e-5
+    assert 37.0 < inverse_tail_quantile(1e-300) < 37.1
     with pytest.raises(RangeError):
         inverse_tail_quantile(0.0)
     with pytest.raises(RangeError):
