@@ -270,86 +270,61 @@ def ternary_monomials(d: int):
     ]
 
 
-class _CurveStage:
-    """Precomputed evaluation tables over one extension of the base field."""
-
-    __slots__ = ("ext", "packed_columns", "values", "scalars")
-
-    def __init__(self, ext, packed_columns, values, scalars):
-        self.ext = ext
-        self.packed_columns = packed_columns
-        self.values = values
-        self.scalars = scalars
-
-
-def _projective_points(E):
-    els = E.elements()
-    one, zero = E.one, E.zero
-    pts = []
-    for a in els:
-        for b in els:
-            pts.append((one, a, b))
-    for b in els:
-        pts.append((zero, one, b))
-    pts.append((zero, zero, one))
-    return pts
-
-
 def _build_stage(field, e, mons, work_cap, packed):
+    """Tables of the degree-e extension E for singular_curve_bb.
+
+    For every projective point over E and every degree-d monomial
+    x^a y^b z^c in `mons` the entry is (value, a*x^(a-1)*y^b*z^c,
+    b*x^a*y^(b-1)*z^c, c*x^a*y^b*z^(c-1)).  Each is one degree-(d-1)
+    monomial value: times a coordinate for the value, times (a mod p) for
+    a partial factor, which is zero when p divides a.  Returns one column
+    per monomial of packed element indices when `packed`, else
+    (E, rows, scalars) with scalars embedding the base field into E.
+    """
     E, embed = extension_of(field, e, work_cap=work_cap)
-    p = field.p
-    pts = _projective_points(E)
-    int_table = [E.from_int(s) for s in range(p)]
-    d = max(sum(m) for m in mons)
+    p, zero, one = field.p, E.zero, E.one
+    d = sum(mons[0])
+    low = ternary_monomials(d - 1)
+    where = {m: j for j, m in enumerate(low)}
+    recipes = []
+    for m in mons:
+        lowered = [where[m[:t] + (m[t] - 1,) + m[t + 1 :]] if m[t] else None for t in range(3)]
+        scales = [E.from_int(a % p) if a % p else None for a in m]
+        first = next(t for t in range(3) if m[t])
+        recipes.append((first, lowered, scales))
+    els = E.elements()
+    points = [(one, a, b) for a in els for b in els] + [(zero, one, b) for b in els]
     rows = []
-    for (x, y, z) in pts:
-        powx, powy, powz = [E.one], [E.one], [E.one]
-        for pow_row, coord in ((powx, x), (powy, y), (powz, z)):
-            acc = E.one
-            for _ in range(d):
-                acc = E.mul(acc, coord)
-                pow_row.append(acc)
+    for pt in points + [(zero, zero, one)]:
+        pows = []
+        for coord in pt:
+            row = [one]
+            for _ in range(d - 1):
+                row.append(E.mul(row[-1], coord))
+            pows.append(row)
+        px, py, pz = pows
+        vals = [E.mul(E.mul(px[a], py[b]), pz[c]) for a, b, c in low]
         row = []
-        for (a, b, c) in mons:
-            v = E.mul(E.mul(powx[a], powy[b]), powz[c])
-            row.append(
-                (
-                    v,
-                    _partial(E, int_table, a, powx, powy, powz, b, c, p),
-                    _partial(E, int_table, b, powy, powx, powz, a, c, p),
-                    _partial(E, int_table, c, powz, powx, powy, a, b, p),
-                )
-            )
+        for first, lowered, scales in recipes:
+            entry = [E.mul(vals[lowered[first]], pt[first])]
+            for j, s in zip(lowered, scales):
+                if s is None:
+                    entry.append(zero)
+                else:
+                    entry.append(vals[j] if s == one else E.mul(s, vals[j]))
+            row.append(entry)
         rows.append(row)
     if packed:
         bits = (E.q - 1).bit_length()
         idx = E.index_of
-        columns = []
-        for j in range(len(mons)):
-            col = []
-            for row in rows:
-                v0, v1, v2, v3 = row[j]
-                col.append(
-                    idx(v0)
-                    | (idx(v1) << bits)
-                    | (idx(v2) << (2 * bits))
-                    | (idx(v3) << (3 * bits))
-                )
-            columns.append(col)
-        return _CurveStage(E, columns, None, None)
-    scalars = {a: embed(a) for a in field.elements()}
-    return _CurveStage(E, None, [tuple(r) for r in rows], scalars)
-
-
-def _partial(E, int_table, exp, pow_main, pow_o1, pow_o2, e1, e2, p):
-    # derivative factor exp * main^(exp-1) * others, in characteristic p
-    s = exp % p
-    if exp == 0 or s == 0:
-        return E.zero
-    v = E.mul(E.mul(pow_main[exp - 1], pow_o1[e1]), pow_o2[e2])
-    if s == 1:
-        return v
-    return E.mul(int_table[s], v)
+        return [
+            [
+                idx(v0) | idx(v1) << bits | idx(v2) << 2 * bits | idx(v3) << 3 * bits
+                for v0, v1, v2, v3 in (row[j] for row in rows)
+            ]
+            for j in range(len(mons))
+        ]
+    return E, rows, {a: embed(a) for a in field.elements()}
 
 
 def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000) -> BlackBox:
@@ -360,9 +335,11 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
     over some extension of degree e <= ext_bound; intersection bounds put
     every singular point of a degree-d curve within degree (d-1)^2, which is
     the default bound.  The zero form counts as singular.  Points are scanned
-    over the smallest extensions first.  work_cap bounds both q^(3*ext_bound)
-    and the stage tables: one entry per monomial and projective point, that
-    is m * sum(q^(2e) + q^e + 1 for e <= ext_bound) with m = (d+1)(d+2)/2.
+    over the smallest extensions first, one _build_stage table per extension;
+    over F_2 a probe XORs packed columns, else it sums weighted table rows.
+    work_cap bounds both q^(3*ext_bound) and the stage tables: one entry per
+    monomial and projective point, that is
+    m * sum(q^(2e) + q^e + 1 for e <= ext_bound) with m = (d+1)(d+2)/2.
     """
     if d < 1:
         raise RangeError(f"form degree must be >= 1, got {d}")
@@ -390,14 +367,11 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
     zero = field.zero
 
     def probe(coeffs):
-        if len(coeffs) != m:
-            raise ArityMismatch(f"need {m} coefficients for degree {d}, got {len(coeffs)}")
         active = [(j, c) for j, c in enumerate(coeffs) if c != zero]
         if not active:
             return True
         if packed:
-            for stage in stages:
-                columns = stage.packed_columns
+            for columns in stages:
                 acc = None
                 own = False
                 for j, _ in active:
@@ -413,12 +387,11 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
                 if 0 in acc:
                     return True
             return False
-        for stage in stages:
-            E = stage.ext
+        for E, rows, scalars in stages:
             ezero = E.zero
             emul, eadd = E.mul, E.add
-            weights = [(j, stage.scalars[c]) for j, c in active]
-            for row in stage.values:
+            weights = [(j, scalars[c]) for j, c in active]
+            for row in rows:
                 s0 = s1 = s2 = s3 = ezero
                 for j, w in weights:
                     v0, v1, v2, v3 = row[j]

@@ -3,9 +3,12 @@
 Elements are plain Python values: residues (ints in [0, p)) for prime
 fields, coefficient tuples of length k for extensions, coordinates listed
 constant-first against a fixed monic irreducible modulus.  A Field object
-owns the arithmetic; elements themselves carry no back-reference, which
-keeps them hashable and cheap.  An extension modulus is checked by Ben-Or's
+owns the arithmetic and the text form of its elements (from_coords,
+format_element); elements themselves carry no back-reference, which keeps
+them hashable and cheap.  An extension modulus is checked by Ben-Or's
 test, polynomial in k and log p, so every p^k < 2^63 builds in milliseconds.
+extension_of embeds an extension base by evaluation at a root of its modulus,
+found in the copy of F_q^* inside the bigger field, not by scanning it.
 """
 
 from dataclasses import dataclass
@@ -286,6 +289,12 @@ class PrimeField(Field):
     def index_of(self, a) -> int:
         return a % self.p
 
+    def from_coords(self, coords):
+        """The element written {c} in braced text."""
+        if len(coords) != 1:
+            raise RangeError("braced literals over a prime field take one coordinate")
+        return coords[0] % self.p
+
     def format_element(self, a) -> str:
         return str(a)
 
@@ -364,7 +373,18 @@ class ExtensionField(Field):
     def index_of(self, a) -> int:
         return sum(c * place for c, place in zip(a, self._places))
 
+    def from_coords(self, coords):
+        """The element written {c0,c1,...} in braced text, zero-padded."""
+        if len(coords) > self.k:
+            raise RangeError(
+                f"braced literal has {len(coords)} coordinates, field has {self.k}"
+            )
+        return tuple(c % self.p for c in coords) + (0,) * (self.k - len(coords))
+
     def format_element(self, a) -> str:
+        """Braced coordinates, or a plain integer for a base-field constant."""
+        if not any(a[1:]):
+            return str(a[0])
         return "{" + ",".join(str(c) for c in a) + "}"
 
 
@@ -408,8 +428,11 @@ def extension_of(field: Field, e: int, work_cap: int = 10_000_000):
 
     Returns (big_field, embed) where embed sends elements of `field` into
     the extension compatibly with both arithmetics.  For a prime base the
-    embedding is coefficient placement; for an extension base we locate a
-    root of the base modulus in the bigger field by direct search.
+    embedding is coefficient placement.  For an extension base of order q,
+    g -> g^((Q-1)/(q-1)) maps big^* onto the copy of F_q^*, which holds the
+    k roots of the base modulus; embed is Horner evaluation at the first
+    root among those images, g in index order.  work_cap bounds Q and so
+    that search.
     """
     if e < 1:
         raise RangeError(f"extension degree must be >= 1, got {e}")
@@ -424,22 +447,16 @@ def extension_of(field: Field, e: int, work_cap: int = 10_000_000):
     big = GF(p, big_k)
     if field.k == 1:
         return big, big.from_int
-    # find a root of the base modulus inside big, then map by evaluation
-    modulus = field.modulus
-    root = None
-    for cand in big.elements():
+
+    def at(coeffs, x):
         acc = big.zero
-        for c in reversed(modulus):
-            acc = big.add(big.mul(acc, cand), big.from_int(c))
-        if acc == big.zero:
-            root = cand
-            break
-    if root is None:  # cannot happen: k divides big_k
-        raise ReducibleModulus("base modulus has no root in the extension")
-    images = {}
-    for a in field.elements():
-        acc = big.zero
-        for c in reversed(a):
-            acc = big.add(big.mul(acc, root), big.from_int(c))
-        images[a] = acc
-    return big, images.__getitem__
+        for c in reversed(coeffs):
+            acc = big.add(big.mul(acc, x), big.from_int(c))
+        return acc
+
+    step = (big.q - 1) // (field.q - 1)
+    for i in range(1, big.q):
+        root = big.pow(big.element_from_index(i), step)
+        if at(field.modulus, root) == big.zero:
+            return big, lambda a: at(a, root)
+    raise ReducibleModulus("base modulus has no root in the extension")  # unreachable

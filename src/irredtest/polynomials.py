@@ -227,10 +227,7 @@ def random_dense_poly(field, n, d, stream) -> SparsePolynomial:
 
 def _format_term(field, exps, c):
     factors = []
-    constant_c0 = (
-        c if field.k == 1 else (c[0] if all(x == 0 for x in c[1:]) else None)
-    )
-    coeff = str(constant_c0) if constant_c0 is not None else field.format_element(c)
+    coeff = field.format_element(c)
     if not any(exps):
         return coeff
     if coeff != "1":
@@ -364,21 +361,11 @@ class _Parser:
             self.take()
             coords.append(self.take("int")[1])
         self.take("}")
-        field, n = self.field, self.n
-        if field.k == 1:
-            if len(coords) != 1:
-                raise PolySyntaxError(
-                    "braced literals over a prime field take one coordinate", pos
-                )
-            return SparsePolynomial.constant(field, n, field.from_int(coords[0]))
-        if len(coords) > field.k:
-            raise PolySyntaxError(
-                f"braced literal has {len(coords)} coordinates, field has {field.k}",
-                pos,
-            )
-        coords += [0] * (field.k - len(coords))
-        elem = tuple(c % field.p for c in coords)
-        return SparsePolynomial.constant(field, n, elem)
+        try:
+            elem = self.field.from_coords(coords)
+        except RangeError as exc:
+            raise PolySyntaxError(str(exc), pos) from None
+        return SparsePolynomial.constant(self.field, self.n, elem)
 
 
 def parse_poly(text: str, field: Field, n: int) -> SparsePolynomial:

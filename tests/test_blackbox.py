@@ -369,6 +369,17 @@ def test_singular_matches_naive_scan_f3():
         assert bb.is_zero_at(pt) == naive_singular(F3, 2, pt, 2)
 
 
+def test_singular_matches_naive_scan_where_p_divides_an_exponent():
+    # the partial factor a*x^(a-1)*y^b*z^c vanishes when p divides a
+    for field, d, count, seed in ((F2, 4, 24, 9), (F3, 3, 6, 10)):
+        bb = singular_curve_bb(d, field, ext_bound=2)
+        answers = set()
+        for pt in sample_points(field, bb.n, count, seed=seed):
+            answers.add(bb.is_zero_at(pt))
+            assert bb.is_zero_at(pt) == naive_singular(field, d, pt, 2)
+        assert answers == {True, False}
+
+
 def test_singular_extension_base_field():
     F4 = GF(2, 2)
     bb = singular_curve_bb(2, F4, ext_bound=2)

@@ -196,6 +196,17 @@ def test_dist_single_small(capsys):
     assert float(rows[1][1]) == 0.5
 
 
+def test_dist_rows_beyond_exact_range(capsys):
+    # 2^10 + 1 rows, each through BinomialModel.pmf_float
+    code, out, _ = run_cli(capsys, "dist", "--kind", "single", "-q", "2", "-n", "10")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[1] == "k,p_analytic"
+    rows = lines[2:]
+    assert len(rows) == 1025
+    assert [r.split(",")[0] for r in rows] == [str(k) for k in range(1025)]
+
+
 def test_dist_large_case_is_analytic_only(capsys):
     code, out, _ = run_cli(capsys, "dist", "--kind", "product", "-q", "11", "-n", "4")
     assert code == 0

@@ -239,16 +239,42 @@ def test_random_element_uniformity():
 
 
 def test_extension_embedding_is_a_homomorphism():
-    base = GF(2, 2)
-    big, embed = extension_of(base, 2)
-    assert big.q == 16
-    images = [embed(a) for a in base.elements()]
-    assert len(set(images)) == 4
-    for a in base.elements():
-        for b in base.elements():
-            assert embed(base.add(a, b)) == big.add(embed(a), embed(b))
-            assert embed(base.mul(a, b)) == big.mul(embed(a), embed(b))
-    assert embed(base.one) == big.one
+    # extension bases embed through a root found in the image of F_Q^*
+    for (p, k, e) in ((2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 2, 2)):
+        base = GF(p, k)
+        big, embed = extension_of(base, e)
+        assert big.q == base.q**e
+        images = [embed(a) for a in base.elements()]
+        assert len(set(images)) == base.q
+        for a in base.elements():
+            for b in base.elements():
+                assert embed(base.add(a, b)) == big.add(embed(a), embed(b))
+                assert embed(base.mul(a, b)) == big.mul(embed(a), embed(b))
+        assert embed(base.one) == big.one
+
+
+def test_extension_of_extension_base_is_fast():
+    # a scan of all 2^16 elements of the extension took over 0.6 s
+    start = time.perf_counter()
+    big, embed = extension_of(GF(2, 2), 8)
+    assert time.perf_counter() - start < 1.0
+    assert big.q == 2**16
+    assert embed(GF(2, 2).one) == big.one
+
+
+def test_braced_coordinates_and_formatting():
+    F4, F7 = GF(2, 2), GF(7)
+    assert F4.from_coords([3, 1]) == (1, 1)
+    assert F4.from_coords([1]) == (1, 0)
+    assert F7.from_coords([9]) == 2
+    with pytest.raises(RangeError, match="prime field take one coordinate"):
+        F7.from_coords([1, 1])
+    with pytest.raises(RangeError, match="3 coordinates, field has 2"):
+        F4.from_coords([1, 0, 0])
+    assert F4.format_element((1, 0)) == "1"
+    assert F4.format_element((0, 0)) == "0"
+    assert F4.format_element((0, 1)) == "{0,1}"
+    assert F7.format_element(5) == "5"
 
 
 def test_extension_of_prime_base():

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -44,6 +45,25 @@ def test_binomial_pmf_is_exact():
     assert sum(m.pmf_vector()) == 1
     assert m.pmf(-1) == 0 and m.pmf(4) == 0
     assert m.mean_fraction() == Fraction(1, 3)
+
+
+def test_binomial_pmf_float_matches_exact():
+    # below the smallest normal float a relative error says nothing
+    for trials in (1, 10, 81, 1000):
+        for p in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 49), Fraction(1, 13)):
+            m = BinomialModel(trials=trials, success_p=p)
+            for k in range(trials + 1):
+                assert math.isclose(
+                    m.pmf_float(k),
+                    float(m.pmf(k)),
+                    rel_tol=1e-9,
+                    abs_tol=sys.float_info.min,
+                ), (trials, p, k)
+            assert m.pmf_float(-1) == 0.0 and m.pmf_float(trials + 1) == 0.0
+    zero = BinomialModel(trials=5, success_p=Fraction(0))
+    assert [zero.pmf_float(k) for k in range(6)] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    one = BinomialModel(trials=5, success_p=Fraction(1))
+    assert [one.pmf_float(k) for k in range(6)] == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_gamma_model_parameters():
