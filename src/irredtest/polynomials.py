@@ -14,6 +14,8 @@ exist so that formatting stays invertible over extension fields.  Plain
 integer literals cover every prime field constant.
 """
 
+import functools
+
 from .errors import (
     ArityMismatch,
     FieldMismatch,
@@ -45,10 +47,17 @@ def monomials_up_to(n: int, d: int):
         yield from of_degree(n, total)
 
 
+@functools.lru_cache(maxsize=8)
+def _monomials(n: int, d: int):
+    """monomials_up_to(n, d) as one shared tuple, so that dense
+    polynomials of the same shape share their exponent-tuple keys."""
+    return tuple(monomials_up_to(n, d))
+
+
 class SparsePolynomial:
     """Immutable-by-convention term map over a shared field context."""
 
-    __slots__ = ("field", "n", "terms", "_max_exps")
+    __slots__ = ("field", "n", "terms", "_evaluator")
 
     def __init__(self, field: Field, n: int, terms):
         if n < 0:
@@ -67,12 +76,7 @@ class SparsePolynomial:
             if c != zero:
                 clean[tuple(exps)] = c
         self.terms = clean
-        maxes = [0] * n
-        for exps in clean:
-            for i, e in enumerate(exps):
-                if e > maxes[i]:
-                    maxes[i] = e
-        self._max_exps = tuple(maxes)
+        self._evaluator = None
 
     # -- constructors --------------------------------------------------
 
@@ -147,55 +151,116 @@ class SparsePolynomial:
     def __repr__(self):
         return f"<poly {format_poly(self)!r} over {self.field.spec}>"
 
+    def __reduce__(self):
+        # the kept evaluator is generated code, which does not pickle
+        return (SparsePolynomial, (self.field, self.n, self.terms))
+
     def is_zero(self):
         return not self.terms
 
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point):
-        """Value at a point, one coordinate per variable."""
+        """Value at a point, one coordinate per variable.
+
+        The first call builds an evaluator and keeps it: straight-line
+        code over a prime field, power rows over an extension field.
+        """
         if len(point) != self.n:
             raise ArityMismatch(f"point has {len(point)} coords, need {self.n}")
-        field = self.field
-        if field.k == 1:
-            p = field.p
-            pows = self._power_rows_prime(point, p)
-            total = 0
-            for exps, c in self.terms.items():
-                v = c
-                for i, e in enumerate(exps):
-                    if e:
-                        v = v * pows[i][e] % p
-                total += v
-            return total % p
+        fn = self._evaluator
+        if fn is None:
+            build = _compile_prime if self.field.k == 1 else _extension_evaluator
+            fn = self._evaluator = build(self)
+        return fn(point)
+
+
+# Terms per generated function.  One generated sum of a few thousand
+# terms overflows the compiler's recursion limit, and compiling a large
+# polynomial in one piece raises peak memory.
+_CHUNK_TERMS = 128
+
+
+def _reduced_terms(f: SparsePolynomial):
+    """f's terms with each exponent e >= 1 taken to 1 + (e - 1) mod (q - 1).
+
+    x^q = x at every point of F_q, so the values are unchanged and no
+    exponent exceeds q - 1.  Terms that meet are merged, zero sums dropped.
+    """
+    field = f.field
+    m = field.q - 1
+    out = {}
+    for exps, c in f.terms.items():
+        key = tuple(1 + (e - 1) % m if e else 0 for e in exps)
+        out[key] = field.add(out[key], c) if key in out else c
+    zero = field.zero
+    return {exps: c for exps, c in out.items() if c != zero}
+
+
+def _compile_prime(f: SparsePolynomial):
+    """Evaluator over F_p as generated straight-line code.
+
+    Each distinct power x_i^e of the reduced terms is taken once with
+    pow(); the terms are summed as Python ints by generated functions of
+    at most _CHUNK_TERMS terms each, compiled one at a time, and one % p
+    ends the sum.  The code holds only integer literals and generated
+    names.
+    """
+    p = f.field.p
+    powers = {}  # (i, e) -> generated name
+    rows = []  # (factors, power names) per term
+    for exps, c in _reduced_terms(f).items():
+        names = [
+            powers.setdefault((i, e), f"w{len(powers)}")
+            for i, e in enumerate(exps)
+            if e
+        ]
+        c %= p
+        rows.append((names if c == 1 and names else [f"{c:d}", *names], names))
+    lines = [
+        f"    {w} = x[{i:d}]" if e == 1 else f"    {w} = pow(x[{i:d}], {e:d}, {p:d})"
+        for (i, e), w in powers.items()
+    ]
+    namespace = {"pow": pow}
+    for k in range(0, len(rows), _CHUNK_TERMS):
+        chunk = rows[k : k + _CHUNK_TERMS]
+        args = ", ".join(dict.fromkeys(w for _, names in chunk for w in names))
+        # one term per line keeps the line table's column entries short
+        body = "\n + ".join("*".join(factors) for factors, _ in chunk)
+        _define(f"def c{k}({args}):\n    return (\n{body}\n)\n", namespace)
+        lines.append(f"    t += c{k}({args})")
+    _define("def evaluate(x):\n    t = 0\n" + "\n".join(lines) + f"\n    return t % {p:d}\n", namespace)
+    return namespace["evaluate"]
+
+
+def _define(source, namespace):
+    exec(compile(source, "<irredtest polynomial>", "exec"), namespace)
+
+
+def _extension_evaluator(f: SparsePolynomial):
+    """Evaluator over an extension field: one power row per variable."""
+    field = f.field
+    terms = _reduced_terms(f)
+    maxes = [max((exps[i] for exps in terms), default=0) for i in range(f.n)]
+
+    def evaluate(point):
+        one = field.one
         pows = []
-        for i, m in enumerate(self._max_exps):
-            row = [field.one]
-            acc = field.one
+        for x, m in zip(point, maxes):
+            row = [one]
             for _ in range(m):
-                acc = field.mul(acc, point[i])
-                row.append(acc)
+                row.append(field.mul(row[-1], x))
             pows.append(row)
         total = field.zero
-        for exps, c in self.terms.items():
+        for exps, c in terms.items():
             v = c
-            for i, e in enumerate(exps):
+            for row, e in zip(pows, exps):
                 if e:
-                    v = field.mul(v, pows[i][e])
+                    v = field.mul(v, row[e])
             total = field.add(total, v)
         return total
 
-    def _power_rows_prime(self, point, p):
-        pows = []
-        for i, m in enumerate(self._max_exps):
-            row = [1] * (m + 1)
-            acc = 1
-            x = point[i]
-            for e in range(1, m + 1):
-                acc = acc * x % p
-                row[e] = acc
-            pows.append(row)
-        return pows
+    return evaluate
 
 
 def total_degree(f: SparsePolynomial) -> int:
@@ -215,7 +280,7 @@ def random_dense_poly(field, n, d, stream) -> SparsePolynomial:
         raise RangeError(f"degree must be >= 0, got {d}")
     terms = {}
     zero = field.zero
-    for exps in monomials_up_to(n, d):
+    for exps in _monomials(n, d):
         c = field.random_element(stream)
         if c != zero:
             terms[exps] = c

@@ -235,6 +235,17 @@ def test_oversized_inputs_exit_fast(capsys, argv):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_run_huge_exponent_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "run", "--poly", "x1^1000000000 + 1", "-q", "7", "-n", "1",
+        "-N", "50", "--seed", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["k"] == 0  # 10^9 = 4 mod 6, and -1 is no fourth power mod 7
+
+
 def test_dist_det(capsys):
     code, out, _ = run_cli(
         capsys, "dist", "--kind", "det", "-q", "2", "--rows", "2", "--cols", "2"

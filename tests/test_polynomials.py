@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,13 +146,64 @@ def test_evaluate_against_naive_oracle_extension():
         assert f.evaluate(pt) == naive_eval(f, pt)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_matches_naive_oracle_prime_fields(data):
+    # exponents up to 3p exercise the reduction x^e = x^(1 + (e-1) mod (p-1))
+    p = data.draw(st.sampled_from([2, 3, 7, 13]))
+    n = data.draw(st.integers(0, 4))
+    field = GF(p)
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3 * p)] * n), st.integers(1, p - 1), max_size=20
+        )
+    )
+    f = SparsePolynomial(field, n, terms)
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=5))
+    for pt in points + [(0,) * n]:
+        assert f.evaluate(pt) == naive_eval(f, pt)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_fermat_binomial_vanishes_but_keeps_its_terms(p):
+    field = GF(p)
+    f = parse_poly(f"x1^{p} - x1", field, 1)
+    assert all(f.evaluate((x,)) == 0 for x in field.elements())
+    assert f.terms == {(p,): 1, (1,): p - 1}
+
+
+def test_evaluate_large_dense_polynomial():
+    # far more terms than one generated expression can hold
+    f = random_dense_poly(F7, 5, 14, RandomStream(1))
+    assert len(f.terms) == 9979
+    for pt in [(0, 0, 0, 0, 0), (1, 2, 3, 4, 5), (6, 6, 6, 6, 6), (3, 0, 5, 1, 2)]:
+        assert f.evaluate(pt) == naive_eval(f, pt)
+
+
+@pytest.mark.parametrize("field", [GF(2, 2), GF(10000019)])
+def test_huge_exponent_evaluates_fast(field):
+    q = field.q
+    f = parse_poly("x1^1000000000 + 1", field, 1)
+    reduced = parse_poly(f"x1^{1 + (10**9 - 1) % (q - 1)} + 1", field, 1)
+    points = [field.element_from_index(i) for i in (0, 1, 2, 3, q - 1)]
+    start = time.perf_counter()
+    values = [f.evaluate((x,)) for x in points]
+    assert time.perf_counter() - start < 1.0
+    assert values == [reduced.evaluate((x,)) for x in points]
+    assert values == [field.add(field.pow(x, 10**9), field.one) for x in points]
+
+
 def test_evaluate_examples():
     f = parse_poly("x1*x2 + 1", F2, 2)
     assert f.evaluate((1, 1)) == 0
     assert f.evaluate((0, 1)) == 1
     assert SparsePolynomial.zero(F7, 2).evaluate((3, 4)) == 0
+    assert SparsePolynomial.constant(F7, 0, 5).evaluate(()) == 5
     with pytest.raises(ArityMismatch):
         f.evaluate((1,))
+    # the evaluator kept by the first call stays out of the pickle
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.evaluate((1, 1)) == 0
 
 
 def test_arithmetic_identities():
@@ -219,6 +272,18 @@ def test_random_dense_poly_shape_and_determinism():
     h = random_dense_poly(F7, 4, 5, RandomStream(22, stream=0))
     assert f != h
     assert random_dense_poly(F7, 2, 0, RandomStream(1)).n == 2
+
+
+def test_random_dense_poly_draw_order_and_shared_keys():
+    f = random_dense_poly(F7, 2, 3, RandomStream(5, stream=0))
+    assert format_poly(f) == (
+        "4*x1^3 + 3*x1^2*x2 + x1*x2^2 + x2^3 + 2*x1^2 + x1*x2 + 6*x2^2"
+        " + 4*x1 + 4*x2 + 1"
+    )
+    # dense polynomials of one shape share their exponent-tuple keys
+    g = random_dense_poly(F7, 2, 3, RandomStream(6, stream=0))
+    keys = {exps: exps for exps in g.terms}
+    assert all(keys.get(exps, exps) is exps for exps in f.terms)
 
 
 def test_total_degree():
