@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice, product
 
 from .blackbox import (
     curve_determinantal_matrix,
@@ -54,6 +55,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _fraction(text):
+    """argparse type of --gamma-x; "1/0" is a usage error like "abc"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _build_parser():
     parser = _Parser(prog="irredtest", description=__doc__)
     common = _Parser(add_help=False)
@@ -93,7 +102,7 @@ def _build_parser():
     p_dist.add_argument("-n", type=int, default=1)
     p_dist.add_argument("--x-count", type=int, help="size of the fixed point set")
     p_dist.add_argument("--m", type=int, help="target dimension (substitution)")
-    p_dist.add_argument("--gamma-x", help="target density as a fraction, e.g. 1/3")
+    p_dist.add_argument("--gamma-x", type=_fraction, help="target density as a fraction, e.g. 1/3")
     p_dist.add_argument("--rows", type=int, default=2)
     p_dist.add_argument("--cols", type=int, default=2)
     return parser
@@ -194,40 +203,14 @@ def cmd_run(args) -> int:
     return 3 if verdict.outcome == LIKELY_REDUCIBLE else 0
 
 
-def _dist_brute(args):
-    """Brute-force pmf when the function space is within _BF_LIMIT, else None."""
-    q, n = args.q, args.n
-    try:
-        if args.kind in ("single", "product"):
-            return brute_force_distribution(q, n, args.kind, limit=_BF_LIMIT)
-        if args.kind == "intersection":
-            pts = _first_points(q, n, args.x_count)
-            return brute_force_distribution(q, n, "intersection", x_points=pts, limit=_BF_LIMIT)
-        if args.kind == "substitution":
-            if args.m is None or args.x_count is None:
-                return None
-            pts = _first_points(q, args.m, args.x_count)
-            return brute_force_distribution(
-                q, n, "substitution", x_points=pts, m=args.m, limit=_BF_LIMIT
-            )
-    except Error:
-        return None
-    return None
-
-
 def _first_points(q, dims, count):
-    """The first `count` points of F_q^dims in enumeration order.
+    """The first `count` points of F_q^dims in enumeration order (none
+    for a negative count).
 
     A generator, so brute_force_distribution rejects an oversized case
-    before any point is built.
+    before any point, or even product's `dims` pools, is built.
     """
-    for idx in range(count):
-        coords = []
-        rem = idx
-        for _ in range(dims):
-            coords.append(rem % q)
-            rem //= q
-        yield tuple(reversed(coords))
+    yield from islice(product(range(q), repeat=dims), max(count, 0))
 
 
 def cmd_dist(args) -> int:
@@ -236,6 +219,7 @@ def cmd_dist(args) -> int:
         p = det_expectation(q, args.rows, args.cols)
         print(f"# kind=det q={q} rows={args.rows} cols={args.cols} expectation={float(p)}")
         return 0
+    brute_args = {}  # keyword arguments of the brute-force column, None for none
     if args.kind == "single":
         model = gamma_model(q, n)
     elif args.kind == "product":
@@ -244,10 +228,12 @@ def cmd_dist(args) -> int:
         if args.x_count is None:
             raise _UsageError("--kind intersection needs --x-count")
         model = intersection_model(q, n, args.x_count)
+        brute_args = {"x_points": _first_points(q, n, args.x_count)}
     else:
+        with_target = args.x_count is not None and args.m is not None
         if args.gamma_x is not None:
-            gamma_x = Fraction(args.gamma_x)
-        elif args.x_count is not None and args.m is not None:
+            gamma_x = args.gamma_x
+        elif with_target:
             if q < 2 or args.m < 1:
                 raise _UsageError("--x-count with --m needs -q >= 2 and --m >= 1")
             if power_exceeds(q, args.m, ORDER_CAP - 1):
@@ -256,9 +242,17 @@ def cmd_dist(args) -> int:
         else:
             raise _UsageError("--kind substitution needs --gamma-x or --x-count with --m")
         model = substitution_model(q, n, gamma_x)
+        brute_args = None
+        if with_target:
+            brute_args = {"x_points": _first_points(q, args.m, args.x_count), "m": args.m}
     if model.trials + 1 > _BF_LIMIT:
         raise TooLarge(f"{model.trials + 1} rows exceed the limit {_BF_LIMIT}")
-    brute = _dist_brute(args)
+    brute = None
+    if brute_args is not None:
+        try:
+            brute = brute_force_distribution(q, n, args.kind, limit=_BF_LIMIT, **brute_args)
+        except Error:
+            pass  # beyond the limit or not enumerable: no brute-force column
     print(
         f"# kind={args.kind} q={q} n={n} trials={model.trials}"
         f" mean={float(model.mean_fraction())}"

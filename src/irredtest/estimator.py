@@ -66,6 +66,16 @@ def sample_points(field, n: int, count: int, seed: int):
     return list(_points(field, n, seed, 0, count))
 
 
+def _count_hits(bb: BlackBox, points) -> int:
+    """Points at which the oracle reports a zero; any truthy answer counts."""
+    probe = bb.is_zero_at
+    hits = 0
+    for pt in points:
+        if probe(pt):
+            hits += 1
+    return hits
+
+
 def count_zeros_range(bb: BlackBox, seed: int, lo: int, hi: int) -> int:
     """Zero hits among points lo..hi-1 of the run (seed).
 
@@ -74,12 +84,7 @@ def count_zeros_range(bb: BlackBox, seed: int, lo: int, hi: int) -> int:
     """
     if not 0 <= lo <= hi:
         raise RangeError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    probe = bb.is_zero_at
-    hits = 0
-    for pt in _points(bb.field, bb.n, seed, lo, hi):
-        if probe(pt):
-            hits += 1
-    return hits
+    return _count_hits(bb, _points(bb.field, bb.n, seed, lo, hi))
 
 
 def count_zeros(bb: BlackBox, n_samples: int, seed: int) -> int:
@@ -94,13 +99,7 @@ def exact_gamma(bb: BlackBox, cap: int = EXACT_CAP_DEFAULT) -> Fraction:
     q, n = bb.field.q, bb.n
     if power_exceeds(q, n, cap):
         raise DomainTooLarge(f"{q}^{n} points exceed the exact-count cap {cap}")
-    domain = q**n
-    hits = 0
-    probe = bb.is_zero_at
-    for pt in _cartesian(bb.field.elements(), repeat=bb.n):
-        if probe(pt):
-            hits += 1
-    return Fraction(hits, domain)
+    return Fraction(_count_hits(bb, _cartesian(bb.field.elements(), repeat=n)), q**n)
 
 
 def estimate_gamma(

@@ -11,7 +11,8 @@ nonzero coefficients.  The text grammar (variables x1, x2, ..., explicit
 
 Braced literals name extension field coefficients coordinate-wise; they
 exist so that formatting stays invertible over extension fields.  Plain
-integer literals cover every prime field constant.
+integer literals cover every prime field constant.  Parentheses nest at
+most 100 deep (_MAX_DEPTH); a deeper '(' is a PolySyntaxError.
 """
 
 import functools
@@ -318,6 +319,8 @@ def format_poly(f: SparsePolynomial) -> str:
 # parsing
 
 _OPS = set("+-*^(){},")
+# deepest '(' nesting parse_poly accepts; each level costs three stack frames
+_MAX_DEPTH = 100
 
 
 def _tokenize(text):
@@ -357,6 +360,7 @@ class _Parser:
     def __init__(self, tokens, field, n):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.field = field
         self.n = n
 
@@ -414,8 +418,12 @@ class _Parser:
                 poly = SparsePolynomial(field, n, {exps: field.one})
             return poly
         if kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise PolySyntaxError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
             self.take()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.take(")")
             return inner
         raise PolySyntaxError(f"expected a factor, found {kind!r}", pos)

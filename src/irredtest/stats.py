@@ -12,7 +12,7 @@ fields.power_exceeds, so an oversized case never builds its power.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import compress as _compress, product as _cartesian
 from statistics import NormalDist
 
 from .errors import EmptyList, OrderOverflow, RangeError, TooLarge
@@ -220,8 +220,8 @@ def wald_interval(k: int, n_samples: int, epsilon: float) -> ConfidenceInterval:
 # brute force ground truth
 
 def _as_point_indices(q, dims, points):
-    """Mixed-radix indices of the given coordinate tuples inside F_q^dims."""
-    idx = []
+    """Set of mixed-radix indices of the given coordinate tuples inside F_q^dims."""
+    idx = set()
     for pt in points:
         if len(pt) != dims:
             raise RangeError(f"point {pt} does not have {dims} coordinates")
@@ -230,8 +230,8 @@ def _as_point_indices(q, dims, points):
             if not 0 <= c < q:
                 raise RangeError(f"coordinate {c} outside [0, {q})")
             acc = acc * q + c
-        idx.append(acc)
-    return sorted(set(idx))
+        idx.add(acc)
+    return idx
 
 
 def _bounded_power(q, exponent, limit, what):
@@ -251,48 +251,47 @@ def brute_force_distribution(
 ):
     """Exact zero-count pmf by enumerating every function in the model.
 
-    Returns a list of q^n + 1 Fractions summing to one.  `kind` selects the
-    generating process: "single" and "product" draw uniform functions on
-    F_q^n, "intersection" restricts a single function to the point set
-    x_points, "substitution" draws a uniform map into F_q^m and counts how
-    often its values land in x_points.  Work is bounded by `limit`
-    enumerated functions (pairs count once per component).
+    Returns a list of q^n + 1 Fractions summing to one.  One loop walks
+    every table of q^n values in range(q^width) and tallies each table by
+    how many of its counted positions hold a zero value.  `kind` fixes
+    those: "single" (a uniform function on F_q^n) has width 1, every
+    position and zero values {0}; "product" enumerates pairs (a, b) as
+    a*q + b, width 2, zero when a = 0 or b = 0; "intersection" counts a
+    single function only at the positions of x_points; "substitution"
+    enumerates maps into F_q^m, width m, zero at the indices of x_points.
+    Work is bounded by `limit` tables, q^(width * q^n), checked before
+    any point set is built.
     """
     _check_qn(q, n)
     domain = q**n
-    if kind == KIND_SINGLE:
-        total = _bounded_power(q, domain, limit, "functions")
-        counts = [0] * (domain + 1)
-        for table in _cartesian(range(q), repeat=domain):
-            counts[sum(1 for v in table if v == 0)] += 1
+    if kind in (KIND_SINGLE, KIND_INTERSECTION):
+        width, what = 1, "functions"
     elif kind == KIND_PRODUCT:
-        total = _bounded_power(q, 2 * domain, limit, "function pairs")
-        counts = [0] * (domain + 1)
-        tables = list(_cartesian(range(q), repeat=domain))
-        zero_masks = [tuple(v == 0 for v in t) for t in tables]
-        for za in zero_masks:
-            for zb in zero_masks:
-                counts[sum(1 for a, b in zip(za, zb) if a or b)] += 1
-    elif kind == KIND_INTERSECTION:
-        if x_points is None:
-            raise EmptyList("intersection needs the point set x_points")
-        total = _bounded_power(q, domain, limit, "functions")
-        xs = _as_point_indices(q, n, x_points)
-        counts = [0] * (domain + 1)
-        for table in _cartesian(range(q), repeat=domain):
-            counts[sum(1 for i in xs if table[i] == 0)] += 1
+        width, what = 2, "function pairs"
     elif kind == KIND_SUBSTITUTION:
         if m is None or m < 1:
             raise RangeError("substitution needs the target dimension m >= 1")
-        if x_points is None:
-            raise EmptyList("substitution needs the target point set x_points")
-        total = _bounded_power(q, m * domain, limit, "maps")
-        codomain = q**m
-        xs = set(_as_point_indices(q, m, x_points))
-        counts = [0] * (domain + 1)
-        for table in _cartesian(range(codomain), repeat=domain):
-            counts[sum(1 for v in table if v in xs)] += 1
+        width, what = m, "maps"
     else:
         raise RangeError(f"unknown kind {kind!r}")
+    if kind == KIND_INTERSECTION and x_points is None:
+        raise EmptyList("intersection needs the point set x_points")
+    if kind == KIND_SUBSTITUTION and x_points is None:
+        raise EmptyList("substitution needs the target point set x_points")
+    total = _bounded_power(q, width * domain, limit, what)
 
+    positions, zeros = range(domain), {0}
+    if kind == KIND_PRODUCT:
+        zeros = {v for v in range(q * q) if v < q or v % q == 0}
+    elif kind == KIND_INTERSECTION:
+        positions = _as_point_indices(q, n, x_points)
+    elif kind == KIND_SUBSTITUTION:
+        zeros = _as_point_indices(q, m, x_points)
+    # each value enters the enumeration as its zero flag, and each position
+    # as its counted flag, so a table's count is one sum over compress
+    zero_flags = [int(v in zeros) for v in range(q**width)]
+    counted = [int(i in positions) for i in range(domain)]
+    counts = [0] * (domain + 1)
+    for table in _cartesian(zero_flags, repeat=domain):
+        counts[sum(_compress(table, counted))] += 1
     return [Fraction(c, total) for c in counts]

@@ -226,6 +226,8 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("dist", "--kind", "single", "-q", "2", "-n", "20"),  # 2^20 + 1 rows
         ("dist", "--kind", "substitution", "-q", "3", "--x-count", "1", "--m", "10000000"),
         ("dist", "--kind", "substitution", "-q", "0", "--x-count", "1", "--m", "3"),
+        ("dist", "--kind", "substitution", "-q", "2", "--gamma-x", "1/0"),
+        ("run", "--poly", "(" * 400 + "x1" + ")" * 400, "-q", "7", "-n", "1", "-N", "10"),
     ],
 )
 def test_oversized_inputs_exit_fast(capsys, argv):
@@ -261,6 +263,40 @@ def test_dist_requires_parameters(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "dist", "--kind", "gamma", "-q", "2")
     assert code == 1
+
+
+def test_dist_brute_force_over_fixed_point_sets(capsys):
+    # the brute-force column of intersection and of substitution with --m,
+    # pinned byte for byte; --gamma-x sets only the analytic column
+    cases = {
+        ("--kind", "intersection", "-q", "3", "-n", "1", "--x-count", "2"): (
+            "# kind=intersection q=3 n=1 trials=2 mean=0.3333333333333333\n"
+            "k,p_analytic,p_bruteforce\n"
+            "0,0.4444444444444444,0.4444444444444444\n"
+            "1,0.4444444444444444,0.4444444444444444\n"
+            "2,0.1111111111111111,0.1111111111111111\n"
+            "3,0.0,0.0\n"
+        ),
+        ("--kind", "substitution", "-q", "2", "-n", "1", "--x-count", "3", "--m", "2"): (
+            "# kind=substitution q=2 n=1 trials=2 mean=0.75\n"
+            "k,p_analytic,p_bruteforce\n"
+            "0,0.0625,0.0625\n"
+            "1,0.375,0.375\n"
+            "2,0.5625,0.5625\n"
+        ),
+        (
+            "--kind", "substitution", "-q", "2", "-n", "1",
+            "--gamma-x", "1/2", "--x-count", "1", "--m", "2",
+        ): (
+            "# kind=substitution q=2 n=1 trials=2 mean=0.5\n"
+            "k,p_analytic,p_bruteforce\n"
+            "0,0.25,0.5625\n"
+            "1,0.5,0.375\n"
+            "2,0.25,0.0625\n"
+        ),
+    }
+    for argv, want in cases.items():
+        assert run_cli(capsys, "dist", *argv) == (0, want, "")
 
 
 def test_dist_substitution_with_explicit_density(capsys):

@@ -71,6 +71,15 @@ def test_exact_gamma_values():
     assert exact_gamma(from_poly(parse_poly("1", F2, 2))) == 0
 
 
+def test_counts_take_any_truthy_answer_as_a_zero():
+    # a user's oracle may answer 2 for "zero" and None for "not zero"
+    bb = BlackBox(F3, 2, lambda pt: 2 if pt[0] == 0 else None)
+    assert exact_gamma(bb) == Fraction(1, 3)
+    sampled = [pt[0] == 0 for pt in sample_points(F3, 2, 200, seed=5)]
+    assert count_zeros(bb, 200, seed=5) == sum(sampled)
+    assert count_zeros_range(bb, 5, 50, 200) == sum(sampled[50:])
+
+
 def test_exact_gamma_cap():
     bb = from_poly(parse_poly("x1", F3, 20))
     with pytest.raises(DomainTooLarge):

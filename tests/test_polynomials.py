@@ -56,6 +56,20 @@ def test_parse_rejects_implicit_multiplication():
         parse_poly("3(x1)", F7, 1)
 
 
+def test_parse_nesting_depth_is_bounded():
+    # 100 levels parse; past that the offending '(' is a syntax error, where
+    # unbounded recursion raised RecursionError at about 330 levels
+    assert parse_poly("(" * 100 + "x1 + 1" + ")" * 100, F7, 1) == parse_poly("x1 + 1", F7, 1)
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly("(" * 101 + "x1" + ")" * 101, F7, 1)
+    assert info.value.position == 100
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly("x1 * " + "(" * 330 + "x1" + ")" * 330, F7, 1)
+    assert info.value.position == 5 + 100
+    # siblings do not add up: depth counts only open parentheses
+    assert parse_poly(" + ".join(["(" * 100 + "x1" + ")" * 100] * 3), F7, 1).terms == {(1,): 3}
+
+
 def test_parse_error_positions():
     with pytest.raises(PolySyntaxError) as info:
         parse_poly("x1 + + 3", F7, 1)
