@@ -299,6 +299,19 @@ def test_dist_brute_force_over_fixed_point_sets(capsys):
         assert run_cli(capsys, "dist", *argv) == (0, want, "")
 
 
+def test_dist_target_points_stop_at_the_target_space(capsys):
+    # --x-count beyond q^m names every target point once instead of
+    # building 10^15 points
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "dist", "--kind", "substitution", "-q", "2", "-n", "1",
+        "--gamma-x", "1/2", "--x-count", str(10**15), "--m", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[2:] == ["0,0.25,0.0", "1,0.5,0.0", "2,0.25,1.0"]
+
+
 def test_dist_substitution_with_explicit_density(capsys):
     code, out, _ = run_cli(
         capsys, "dist", "--kind", "substitution", "-q", "2", "-n", "1",
