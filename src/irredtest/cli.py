@@ -63,6 +63,21 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+def _seed(text):
+    """argparse type of --seed and --fixture-seed: an integer in [0, 2^64).
+
+    The generator is keyed by 64 bits; a seed outside that range would be
+    reduced silently, so -1 would give the run of 2^64 - 1.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed outside [0, 2^64): {text!r}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="irredtest", description=__doc__)
     common = _Parser(add_help=False)
@@ -88,12 +103,12 @@ def _build_parser():
     p_run.add_argument("--poly", help="polynomial text over x1..xn")
     p_run.add_argument("--matrix", help="matrix file; oracle is the rank-drop locus")
     p_run.add_argument("--fixture", choices=("trap", "curve", "singular"))
-    p_run.add_argument("--fixture-seed", type=int, default=0)
+    p_run.add_argument("--fixture-seed", type=_seed, default=0)
     p_run.add_argument("-d", "--degree", type=int, default=3, help="form degree (fixture singular)")
     p_run.add_argument("--ext-bound", type=int, help="extension search bound (fixture singular)")
     p_run.add_argument("-N", "--samples", type=int, help="estimate only, with this many draws")
     p_run.add_argument("--exact", action="store_true", help="exhaustive count instead of sampling")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
 
     p_dist = sub.add_parser("dist", parents=[common], help="zero-count distributions")
     p_dist.add_argument("--kind", required=True,
@@ -167,7 +182,9 @@ def _run_oracle(args):
     return singular_curve_bb(args.degree, field, **kwargs)
 
 
-def _report_json(bb, report, outcome=None) -> str:
+def _report_json(bb, seed, report, verdict=None) -> str:
+    """The `run` JSON: the measurement, and for a planned run the plan and
+    outcome.  Keys with nothing to report (no sample drawn) are null."""
     payload = {
         "q": bb.field.q,
         "n": bb.n,
@@ -176,10 +193,19 @@ def _report_json(bb, report, outcome=None) -> str:
         "p_hat": report.p_hat if report else None,
         "half_width": report.interval.half_width if report else None,
         "mode": report.mode if report else None,
-        "seed": report.seed if report else None,
+        "seed": seed,
+        "elapsed": report.elapsed if report else None,
     }
-    if outcome is not None:
-        payload["outcome"] = outcome
+    if verdict is not None:
+        plan = verdict.plan
+        payload.update(
+            s=plan.s,
+            p1=plan.p1,
+            p2=plan.p2,
+            p_middle=plan.p_middle,
+            threshold_k=plan.threshold_k,
+            outcome=verdict.outcome,
+        )
     return json.dumps(payload)
 
 
@@ -189,15 +215,15 @@ def cmd_run(args) -> int:
         report = estimate_gamma(
             bb, 0, args.seed, epsilon=args.epsilon, mode="exact"
         )
-        print(_report_json(bb, report))
+        print(_report_json(bb, args.seed, report))
         return 0
     if args.samples is not None:
         report = estimate_gamma(bb, args.samples, args.seed, epsilon=args.epsilon)
-        print(_report_json(bb, report))
+        print(_report_json(bb, args.seed, report))
         return 0
     plan = plan_test(bb.field.q, bb.n, args.epsilon, s=_plan_quantile(args))
     verdict = run_irreducibility_test(bb, plan, args.seed)
-    print(_report_json(bb, verdict.report, outcome=verdict.outcome))
+    print(_report_json(bb, args.seed, verdict.report, verdict))
     if verdict.outcome == INFEASIBLE:
         return 2
     return 3 if verdict.outcome == LIKELY_REDUCIBLE else 0

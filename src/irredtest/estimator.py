@@ -52,9 +52,10 @@ def _points(field, n, seed, lo, hi):
     """Points lo..hi-1 of run (seed); point i depends only on (seed, i)."""
     q = field.q
     from_index = field.element_from_index
+    draws = range(n)
     for i in range(lo, hi):
-        rs = RandomStream(seed, stream=i)
-        yield tuple(from_index(rs.next_below(q)) for _ in range(n))
+        below = RandomStream(seed, i).next_below
+        yield tuple([from_index(below(q)) for _ in draws])
 
 
 def sample_points(field, n: int, count: int, seed: int):

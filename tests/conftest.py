@@ -2,7 +2,8 @@
 
 These helpers deliberately avoid the code paths they are used to check:
 evaluation by repeated multiplication instead of power tables, determinants
-by Laplace expansion instead of elimination.
+by Laplace expansion instead of elimination, Philox as a plain ten-round
+loop instead of the unrolled block.
 """
 
 import itertools
@@ -49,3 +50,17 @@ def naive_rank(field, m):
 
 def all_points(field, n):
     return itertools.product(field.elements(), repeat=n)
+
+
+def naive_philox(key0, key1, c0, c1, c2, c3):
+    """Philox 4x32-10 as a loop over the rounds, with divmod for hi/lo."""
+    for _ in range(10):
+        hi0, lo0 = divmod(0xD2511F53 * c0, 0x100000000)
+        hi1, lo1 = divmod(0xCD9E8D57 * c2, 0x100000000)
+        c0 = hi1 ^ c1 ^ key0
+        c1 = lo1
+        c2 = hi0 ^ c3 ^ key1
+        c3 = lo0
+        key0 = (key0 + 0x9E3779B9) & 0xFFFFFFFF
+        key1 = (key1 + 0xBB67AE85) & 0xFFFFFFFF
+    return c0, c1, c2, c3

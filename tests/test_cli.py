@@ -7,7 +7,8 @@ from irredtest.cli import main
 
 MATRIX_2X2 = "2 2 4 2\nx1\nx2\nx3\nx4\n"
 
-RUN_KEYS = ["q", "n", "N", "k", "p_hat", "half_width", "mode", "seed"]
+RUN_KEYS = ["q", "n", "N", "k", "p_hat", "half_width", "mode", "seed", "elapsed"]
+PLAN_KEYS = ["s", "p1", "p2", "p_middle", "threshold_k", "outcome"]
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,60 @@ def test_run_infeasible_exit(capsys):
     assert payload["N"] is None
 
 
+def plan_values(capsys, *argv):
+    """The `plan` output as numbers, keyed as printed."""
+    code, out, _ = run_cli(capsys, "plan", *argv)
+    assert code == 0
+    values = dict(line.split("=", 1) for line in out.splitlines())
+    return {
+        "s": float(values["s"]),
+        "p1": float(values["p1"]),
+        "p2": float(values["p2"]),
+        "p_middle": float(values["p_middle"]),
+        "N": int(values["N"]),
+        "threshold_k": int(values["threshold_k"]),
+    }
+
+
+def test_run_json_reports_time_and_plan(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--poly", "x1*x2 + x3", "-q", "7", "-n", "3",
+        "--compat-s258", "--seed", "1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == RUN_KEYS + PLAN_KEYS
+    assert payload["elapsed"] > 0
+    want = plan_values(capsys, "-q", "7", "-n", "3", "--compat-s258")
+    for key in ("s", "p1", "p2", "p_middle", "threshold_k"):
+        assert payload[key] == want[key]
+    assert payload["N"] == want["N"]
+    assert payload["outcome"] == "LikelyIrreducible"
+
+    # an infeasible plan draws nothing but still says how it was made
+    code, out, _ = run_cli(
+        capsys, "run", "--poly", "x1", "-q", "2", "-n", "2", "--seed", "9"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert list(payload) == RUN_KEYS + PLAN_KEYS
+    assert payload["seed"] == 9
+    assert payload["elapsed"] is None and payload["k"] is None
+    assert payload["p1"] >= payload["p2"]
+    assert payload["p_middle"] is None and payload["threshold_k"] is None
+
+
+def test_run_seed_spans_64_bits(capsys):
+    # the largest seed is accepted and reported as given; -1 and 2^64 are
+    # usage errors (test_oversized_inputs_exit_fast) instead of aliases
+    argv = ("run", "--poly", "x1 + x2", "-q", "7", "-n", "2", "-N", "100")
+    code, out, _ = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
+    code, _, err = run_cli(capsys, *argv, "--seed", "seven")
+    assert code == 1 and "not an integer" in err
+
+
 def test_run_fixture_curve(capsys):
     code, out, _ = run_cli(capsys, "run", "--fixture", "curve", "-q", "2", "--exact")
     assert code == 0
@@ -228,6 +283,10 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("dist", "--kind", "substitution", "-q", "0", "--x-count", "1", "--m", "3"),
         ("dist", "--kind", "substitution", "-q", "2", "--gamma-x", "1/0"),
         ("run", "--poly", "(" * 400 + "x1" + ")" * 400, "-q", "7", "-n", "1", "-N", "10"),
+        ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", "-1"),
+        ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", str(2**64)),
+        ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", "-1"),
+        ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", str(2**64)),
     ],
 )
 def test_oversized_inputs_exit_fast(capsys, argv):

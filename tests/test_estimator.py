@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -55,6 +56,23 @@ def test_sample_points_deterministic_and_stream_addressed():
     assert pts[0] == point_at(0)
     other = sample_points(F5, 3, 50, seed=12)
     assert pts != other
+
+
+@pytest.mark.parametrize(
+    "p, k, n, digest",
+    [
+        (7, 1, 3, "884ba30212424090c36ceab3e8de68c8e69376b060b22b67ca3776ca414ccf8b"),
+        (13, 1, 4, "e4ae7b07a0615a6848e29493205815facaf7c6c6046348b1a06f36b6437cd2e1"),
+        (3, 2, 3, "d73f7ccb405041c07db71963e5703dc63c7f2fdb0618ed949157830153f43abd"),
+        (2, 1, 10, "97115cb956b37e95d519e6cadfea06d2076c81d2cdbc96ff36d1d7f2dd0d4aab"),
+        (10000019, 1, 2, "038c6a54b523447ba1984451af2c2e320d0cf8ef0caf45655ca533bbfe1cea9d"),
+    ],
+)
+def test_sample_points_are_frozen(p, k, n, digest):
+    # the point stream is part of every seeded result; these digests were
+    # taken from the loop-over-rounds Philox and must never change
+    pts = sample_points(GF(p, k), n, 5000, seed=20261018)
+    assert hashlib.sha256(repr(pts).encode()).hexdigest() == digest
 
 
 def test_sample_points_cover_small_domain_evenly():

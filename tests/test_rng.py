@@ -1,9 +1,12 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from irredtest import RandomStream, RangeError, philox4x32
+from conftest import naive_philox
+from irredtest import RandomStream, RangeError, philox4x32, rng
+
+WORD = st.sampled_from([0, 0xFFFFFFFF]) | st.integers(0, 0xFFFFFFFF)
 
 
 def test_philox_known_answer_vectors():
@@ -44,6 +47,51 @@ def test_word_stream_regression():
     ]
     rs = RandomStream(42, stream=7)
     assert rs.next_u32() == 1743679276
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORD, WORD, WORD, WORD, WORD, WORD)
+@example(0, 0, 0, 0, 0, 0)
+@example(*[0xFFFFFFFF] * 6)
+def test_philox_matches_the_loop_over_rounds(key0, key1, c0, c1, c2, c3):
+    # twice: the first call may build the key schedule, the second reuses it
+    want = naive_philox(key0, key1, c0, c1, c2, c3)
+    assert philox4x32(key0, key1, c0, c1, c2, c3) == want
+    assert philox4x32(key0, key1, c0, c1, c2, c3) == want
+
+
+def test_key_schedule_memo_stays_small():
+    # one schedule per distinct key pair, so a caller cycling through many
+    # seeds must not grow the memo without bound
+    for key in range(500):
+        assert philox4x32(key, 1, 2, 3, 4, 5) == naive_philox(key, 1, 2, 3, 4, 5)
+    assert len(rng._SCHEDULES) <= rng._SCHEDULES_MAX
+
+
+def test_next_below_draws_are_frozen():
+    # 2^31 + 1 rejects about half the words, so the draws cross refills
+    rs = RandomStream(20261018, stream=3)
+    assert [rs.next_below(2**31 + 1) for _ in range(60)] == [
+        982316159, 1609555984, 734788221, 644307863, 1982630102, 1061999342,
+        2086460316, 1746265215, 1216390908, 1144511921, 1487899370, 356755863,
+        934707882, 712930978, 1181034382, 48076097, 1798849374, 1530400850,
+        476930281, 1366280504, 1264765148, 1895075541, 2121086725, 727915307,
+        521338863, 2059032358, 263550852, 188512784, 37704911, 2031842249,
+        415026559, 1703358670, 1690831734, 1457871666, 217190927, 17028124,
+        1735065429, 815013834, 54804210, 162941009, 451402337, 952925335,
+        2062809922, 1373851610, 1714435875, 2140134797, 531214174, 2029866147,
+        1979585067, 671650500, 499616663, 423952267, 252779939, 1793769572,
+        270920998, 1265414836, 1629390695, 1844770285, 1698073013, 461455954,
+    ]
+    assert rs.next_u32() == 2816363060  # the rejections consumed their words
+    rs = RandomStream(20261018, stream=4)
+    assert [rs.next_below(2**40 + 7) for _ in range(20)] == [
+        760863424255, 978424742723, 960517637660, 476615384745, 758587629880,
+        774197121878, 1086240753099, 146160466943, 116466014546, 1038474497830,
+        990499326461, 688849796138, 364444979432, 424127173882, 45991931510,
+        985022990194, 572959189600, 1022758848066, 1093715309711, 212393910583,
+    ]
+    assert rs.next_u32() == 2802836763
 
 
 def test_streams_are_reproducible_and_distinct():
