@@ -10,7 +10,8 @@ from .errors import RangeError
 
 # (key0, key1) -> the round keys (a0, b0, ..., a9, b9).  A run keys every
 # block with its one seed, so one entry serves it; the cap bounds callers
-# that cycle through many seeds.
+# that cycle through many seeds.  An entry is a function of its key, so
+# sharing the memo across callers and threads changes no output.
 _SCHEDULES = {}
 _SCHEDULES_MAX = 64
 
