@@ -164,8 +164,9 @@ class SparsePolynomial:
     def evaluate(self, point):
         """Value at a point, one coordinate per variable.
 
-        The first call builds an evaluator and keeps it: straight-line
-        code over a prime field, power rows over an extension field.
+        The first call builds an evaluator and keeps it: generated code
+        in nested Horner form over a prime field, power rows over an
+        extension field.  Nothing is built before that call.
         """
         if len(point) != self.n:
             raise ArityMismatch(f"point has {len(point)} coords, need {self.n}")
@@ -174,12 +175,6 @@ class SparsePolynomial:
             build = _compile_prime if self.field.k == 1 else _extension_evaluator
             fn = self._evaluator = build(self)
         return fn(point)
-
-
-# Terms per generated function.  One generated sum of a few thousand
-# terms overflows the compiler's recursion limit, and compiling a large
-# polynomial in one piece raises peak memory.
-_CHUNK_TERMS = 128
 
 
 def _reduced_terms(f: SparsePolynomial):
@@ -198,41 +193,155 @@ def _reduced_terms(f: SparsePolynomial):
     return {exps: c for exps, c in out.items() if c != zero}
 
 
-def _compile_prime(f: SparsePolynomial):
-    """Evaluator over F_p as generated straight-line code.
+# Binary operations a register's pending expression may reach before it is
+# stored; no generated expression nests deeper than about twice this, so
+# the parser's and compiler's nesting limits hold at every n.
+_EXPR_OPS = 16
+# Binary operations per generated function.  The functions are compiled
+# one at a time, since compiling a large polynomial in one piece raises
+# peak memory.
+_CHUNK_OPS = 256
 
-    Each distinct power x_i^e of the reduced terms is taken once with
-    pow(); the terms are summed as Python ints by generated functions of
-    at most _CHUNK_TERMS terms each, compiled one at a time, and one % p
-    ends the sum.  The code holds only integer literals and generated
-    names.
+
+def _compile_prime(f: SparsePolynomial):
+    """Evaluator over F_p as generated code in nested Horner form.
+
+    The reduced terms, sorted by exponent tuple in descending order, are
+    the leaves of a trie whose level i branches on the exponent of x_{i+1}.
+    A node's value combines its children's by Horner's rule in that
+    variable: acc = acc * x^gap + child, where gap is the drop between
+    consecutive child exponents and is taken by one pow(x, gap, p); then
+    acc is multiplied by x to the last child's exponent.  That is about one
+    multiply and one add per term.  The trie is walked by a loop over the
+    sorted terms, never by recursion, so a term in thousands of variables
+    builds like a short one.  Sums stay Python ints and one % p ends them.
+    The code holds only integer literals and generated names.
     """
-    p = f.field.p
-    powers = {}  # (i, e) -> generated name
-    rows = []  # (factors, power names) per term
-    for exps, c in _reduced_terms(f).items():
-        names = [
-            powers.setdefault((i, e), f"w{len(powers)}")
-            for i, e in enumerate(exps)
-            if e
-        ]
-        c %= p
-        rows.append((names if c == 1 and names else [f"{c:d}", *names], names))
-    lines = [
-        f"    {w} = x[{i:d}]" if e == 1 else f"    {w} = pow(x[{i:d}], {e:d}, {p:d})"
-        for (i, e), w in powers.items()
-    ]
-    namespace = {"pow": pow}
-    for k in range(0, len(rows), _CHUNK_TERMS):
-        chunk = rows[k : k + _CHUNK_TERMS]
-        args = ", ".join(dict.fromkeys(w for _, names in chunk for w in names))
-        # one term per line halves the size of the code's line table
-        body = "\n + ".join("*".join(factors) for factors, _ in chunk)
-        _define(f"def c{k}({args}):\n    return (\n{body}\n)\n", namespace)
-        lines.append(f"    t += c{k}({args})")
-    lines.append(f"    return t % {p:d}")
-    _define("def evaluate(x):\n    t = 0\n" + "\n".join(lines) + "\n", namespace)
-    return namespace["evaluate"]
+    code = _HornerCode(f.field.p, f.n)
+    for exps, c in sorted(_reduced_terms(f).items(), reverse=True):
+        code.add(exps, c)
+    return code.evaluator()
+
+
+class _HornerCode:
+    """Statements of a Horner evaluator, grown one term at a time.
+
+    The nodes open at any moment are those on the path of the last term
+    added.  Register r{k} holds an open node's value; a node's first child
+    shares its parent's register and every later child takes the next
+    one, so registers are never more than n + 1.  A register's value is
+    kept as a pending expression and stored by a statement only when the
+    expression reaches _EXPR_OPS operations, when its parent would read a
+    register about to be reused, or at the end.  Statements go into
+    chunks of about _CHUNK_OPS operations, and the registers stored at a
+    chunk's end are passed to the next chunk.
+    """
+
+    def __init__(self, p, n):
+        self.p = p
+        self.n = n
+        self.prev = None  # exponents of the last term: the open path
+        self.reg = [0] * (n + 1)  # register per level; level n holds the coefficient
+        self.gap = [0] * (n + 1)  # exponent drop joining a node to its parent, 0 for a first child
+        # register -> [text, operations, is a sum, variable indices]
+        self.pending = [None] * (n + 1)
+        self.stored = set()  # registers whose value is in r{k}
+        self.chunks = []  # (lines, variables, registers in, registers out)
+        self.lines, self.vars, self.ops, self.live_in = [], set(), 0, ()
+
+    def add(self, exps, c):
+        """The next term; terms come in descending order of exponents."""
+        prev, reg, gap = self.prev, self.reg, self.gap
+        if prev is None:
+            split, k = -1, 0
+        else:
+            split = 0
+            while exps[split] == prev[split]:
+                split += 1
+            self.close(split)
+            # a later child of the node at level split
+            k = reg[split] + 1
+            gap[split + 1] = prev[split] - exps[split]
+        for level in range(split + 1, self.n + 1):
+            reg[level] = k
+        for level in range(split + 2, self.n + 1):
+            gap[level] = 0
+        self.pending[k] = [f"{c % self.p:d}", 0, False, set()]
+        self.prev = exps
+
+    def close(self, split):
+        """Finish the open nodes below level `split`, deepest first."""
+        pending, prev, reg, gap = self.pending, self.prev, self.reg, self.gap
+        for level in range(self.n, split, -1):
+            k = reg[level]
+            if level < self.n and prev[level]:
+                pending[k] = self.times_power(pending[k], level, prev[level])
+                if pending[k][1] >= _EXPR_OPS:
+                    self.store(k)
+            if gap[level]:
+                text, ops, _, used = self.times_power(pending[k - 1], level - 1, gap[level])
+                child = pending[k]
+                pending[k - 1] = [f"{text} + {child[0]}", ops + child[1] + 1, True, used | child[3]]
+                # a parent that reads r{k} is stored before a later child reuses it
+                if k in self.stored or ops + child[1] + 1 >= _EXPR_OPS:
+                    self.store(k - 1)
+                self.stored.discard(k)
+
+    def times_power(self, expr, i, e):
+        """The pending expression `expr` times x_{i+1}^e."""
+        text, ops, is_sum, used = expr
+        factor = f"x{i:d}" if e == 1 else f"pow(x{i:d}, {e:d}, {self.p:d})"
+        used.add(i)
+        if text == "1":
+            return [factor, ops, False, used]
+        return [f"({text})*{factor}" if is_sum else f"{text}*{factor}", ops + 1, False, used]
+
+    def store(self, k):
+        text, ops, _, used = self.pending[k]
+        self.lines.append(f"    r{k:d} = {text}")
+        self.vars |= used
+        self.ops += ops + 1
+        self.pending[k] = [f"r{k:d}", 0, False, set()]
+        self.stored.add(k)
+        if self.ops >= _CHUNK_OPS:
+            self.end_chunk()
+
+    def end_chunk(self):
+        live_out = tuple(sorted(self.stored))
+        self.chunks.append((self.lines, self.vars, self.live_in, live_out))
+        self.lines, self.vars, self.ops, self.live_in = [], set(), 0, live_out
+
+    def evaluator(self):
+        if self.prev is None:
+            return _zero
+        self.close(-1)
+        if self.pending[0][0] != "r0":
+            self.store(0)
+        if self.lines:
+            self.end_chunk()
+        namespace = {"pow": pow}
+        if len(self.chunks) == 1:  # one call per evaluation for small polynomials
+            lines, used, _, _ = self.chunks[0]
+            body = _body(lines, used)
+        else:
+            calls = []
+            for j, (lines, used, live_in, live_out) in enumerate(self.chunks):
+                args = "".join(f", r{k:d}" for k in live_in)
+                out = ", ".join(f"r{k:d}" for k in live_out)
+                _define(f"def c{j:d}(x{args}):\n{_body(lines, used)}    return {out}\n", namespace)
+                calls.append(f"    {out} = c{j:d}(x{args})\n")
+            body = "".join(calls)
+        _define(f"def evaluate(x):\n{body}    return r0 % {self.p:d}\n", namespace)
+        return namespace["evaluate"]
+
+
+def _body(lines, used):
+    binds = "".join(f"    x{i:d} = x[{i:d}]\n" for i in sorted(used))
+    return binds + "\n".join(lines) + "\n"
+
+
+def _zero(point):
+    return 0
 
 
 def _define(source, namespace):

@@ -307,6 +307,20 @@ def test_run_huge_exponent_is_fast(capsys):
     assert json.loads(out)["k"] == 0  # 10^9 = 4 mod 6, and -1 is no fourth power mod 7
 
 
+def test_run_term_in_3000_variables(capsys):
+    # one Horner level per variable; parsing the 3000-factor product takes
+    # most of the time, so the bound is loose
+    poly = "*".join(f"x{i}" for i in range(1, 3001)) + " + 1"
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "run", "--poly", poly, "-q", "7", "-n", "3000", "-N", "50", "--seed", "1"
+    )
+    assert time.perf_counter() - start < 20.0
+    assert code == 0
+    result = json.loads(out)
+    assert result["n"] == 3000 and result["N"] == 50
+
+
 def test_dist_det(capsys):
     code, out, _ = run_cli(
         capsys, "dist", "--kind", "det", "-q", "2", "--rows", "2", "--cols", "2"

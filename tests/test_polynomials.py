@@ -15,6 +15,8 @@ from irredtest import (
     SparsePolynomial,
     UnknownVariable,
     format_poly,
+    from_poly,
+    make_product_trap_fixture,
     monomials_up_to,
     parse_poly,
     random_dense_poly,
@@ -163,13 +165,14 @@ def test_evaluate_against_naive_oracle_extension():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_evaluate_matches_naive_oracle_prime_fields(data):
-    # exponents up to 3p exercise the reduction x^e = x^(1 + (e-1) mod (p-1))
+    # exponents up to 3p exercise the reduction x^e = x^(1 + (e-1) mod (p-1)),
+    # and six variables with up to 40 terms give tries with many branches
     p = data.draw(st.sampled_from([2, 3, 7, 13]))
-    n = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(0, 6))
     field = GF(p)
     terms = data.draw(
         st.dictionaries(
-            st.tuples(*[st.integers(0, 3 * p)] * n), st.integers(1, p - 1), max_size=20
+            st.tuples(*[st.integers(0, 3 * p)] * n), st.integers(1, p - 1), max_size=40
         )
     )
     f = SparsePolynomial(field, n, terms)
@@ -205,6 +208,52 @@ def test_huge_exponent_evaluates_fast(field):
     assert time.perf_counter() - start < 1.0
     assert values == [reduced.evaluate((x,)) for x in points]
     assert values == [field.add(field.pow(x, 10**9), field.one) for x in points]
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+def test_term_in_thousands_of_variables(n):
+    # one term nests n levels deep in the Horner trie; the generated code
+    # must stay within the parser's and compiler's nesting limits
+    field = GF(10000019)
+    f = SparsePolynomial(field, n, {(1,) * n: 5, (0,) * n: 1})
+    assert f.evaluate((2,) * n) == (5 * 2**n + 1) % field.p
+    assert f.evaluate((2,) * (n - 1) + (0,)) == 1
+
+
+def test_staircase_keeps_a_register_per_level():
+    # x_i*...*x_n summed over i: every level of the trie branches, so n
+    # partial values are live at once and cross many generated functions
+    n = 300
+    f = SparsePolynomial(F7, n, {(0,) * i + (1,) * (n - i): 1 for i in range(n)})
+    assert f.evaluate((2,) * n) == (2 ** (n + 1) - 2) % 7
+    pt = tuple(i % 7 for i in range(3, n + 3))
+    assert f.evaluate(pt) == naive_eval(f, pt)
+
+
+def test_dense_univariate_degree_3000():
+    # 3000 Horner steps in one variable, with gaps and a large prime
+    field = GF(10000019)
+    p = field.p
+    stream = RandomStream(5, stream=0)
+    terms = {(e,): 1 + stream.next_below(p - 1) for e in range(3001) if e % 7 != 3}
+    f = SparsePolynomial(field, 1, terms)
+    for x in (0, 1, 2, 12345, p - 1):
+        want = sum(c * pow(x, e, p) for (e,), c in terms.items()) % p
+        assert f.evaluate((x,)) == want
+
+
+def test_evaluator_is_built_on_first_evaluation_only():
+    # construction, parsing and oracles build nothing: set-up stays cheap
+    made = [
+        parse_poly("x1^3*x2 + 2*x2 + 1", F7, 2),
+        random_dense_poly(F3, 4, 6, RandomStream(3)),
+        make_product_trap_fixture(1).reduce_mod(GF(11)),
+    ]
+    from_poly(made[0])
+    assert all(f._evaluator is None for f in made)
+    for f in made:
+        f.evaluate((1,) * f.n)
+        assert f._evaluator is not None
 
 
 def test_evaluate_examples():
