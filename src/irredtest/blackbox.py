@@ -277,15 +277,17 @@ def _build_stage(field, e, mons, work_cap, packed):
     x^a y^b z^c in `mons` the entry is (value, a*x^(a-1)*y^b*z^c,
     b*x^a*y^(b-1)*z^c, c*x^a*y^b*z^(c-1)).  Each is one degree-(d-1)
     monomial value: times a coordinate for the value, times (a mod p) for
-    a partial factor, which is zero when p divides a.  Returns one column
-    per monomial of packed element indices when `packed`, else
-    (E, rows, scalars) with scalars embedding the base field into E.
+    a partial factor, which is zero when p divides a.  Returns (E, rows,
+    scalars), or if `packed` (F_2: addition XORs indices) (columns, low,
+    high): column j is one int whose lane i, W = ceil(4*bits/8) bytes for
+    bits = (E.q-1).bit_length(), is value | dx << bits | dy << 2*bits |
+    dz << 3*bits in indices; low has a 1 per lane, high = low << (8W-1).
     """
     E, embed = extension_of(field, e, work_cap=work_cap)
     p, zero, one = field.p, E.zero, E.one
     d = sum(mons[0])
-    low = ternary_monomials(d - 1)
-    where = {m: j for j, m in enumerate(low)}
+    below = ternary_monomials(d - 1)
+    where = {m: j for j, m in enumerate(below)}
     recipes = []
     for m in mons:
         lowered = [where[m[:t] + (m[t] - 1,) + m[t + 1 :]] if m[t] else None for t in range(3)]
@@ -303,7 +305,7 @@ def _build_stage(field, e, mons, work_cap, packed):
                 row.append(E.mul(row[-1], coord))
             pows.append(row)
         px, py, pz = pows
-        vals = [E.mul(E.mul(px[a], py[b]), pz[c]) for a, b, c in low]
+        vals = [E.mul(E.mul(px[a], py[b]), pz[c]) for a, b, c in below]
         row = []
         for first, lowered, scales in recipes:
             entry = [E.mul(vals[lowered[first]], pt[first])]
@@ -316,15 +318,23 @@ def _build_stage(field, e, mons, work_cap, packed):
         rows.append(row)
     if packed:
         bits = (E.q - 1).bit_length()
-        idx = E.index_of
-        return [
-            [
-                idx(v0) | idx(v1) << bits | idx(v2) << 2 * bits | idx(v3) << 3 * bits
-                for v0, v1, v2, v3 in (row[j] for row in rows)
-            ]
-            for j in range(len(mons))
+        width = (4 * bits + 7) // 8
+        index = {a: i for i, a in enumerate(els)}
+        lanes = [[sum(index[v] << t * bits for t, v in enumerate(x)) for x in row] for row in rows]
+        columns = [
+            int.from_bytes(b"".join(v.to_bytes(width, "little") for v in col), "little")
+            for col in zip(*lanes)
         ]
+        low = int.from_bytes(b"\1".ljust(width, b"\0") * len(rows), "little")
+        return columns, low, low << (8 * width - 1)
     return E, rows, {a: embed(a) for a in field.elements()}
+
+
+def _has_zero_lane(acc, low, high):
+    """Whether acc has a zero lane ("haszero", Bit Twiddling Hacks); low has
+    a 1 and high the top bit in each lane.  Exact: borrows start only at zero
+    lanes, the lowest turns to all ones, ~acc drops lanes with top bit set."""
+    return (acc - low) & ~acc & high != 0
 
 
 def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000) -> BlackBox:
@@ -336,7 +346,8 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
     every singular point of a degree-d curve within degree (d-1)^2, which is
     the default bound.  The zero form counts as singular.  Points are scanned
     over the smallest extensions first, one _build_stage table per extension;
-    over F_2 a probe XORs packed columns, else it sums weighted table rows.
+    over F_2 a probe XORs packed columns and asks _has_zero_lane, else it
+    sums weighted table rows.
     work_cap bounds both q^(3*ext_bound) and the stage tables: one entry per
     monomial and projective point, that is
     m * sum(q^(2e) + q^e + 1 for e <= ext_bound) with m = (d+1)(d+2)/2.
@@ -359,11 +370,8 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
             f"stage tables of {m} monomials x {points} points exceed the work cap {work_cap}"
         )
     mons = ternary_monomials(d)
-    packed = field.q == 2
-    stages = [
-        _build_stage(field, e, mons, work_cap, packed)
-        for e in range(1, ext_bound + 1)
-    ]
+    packed = q == 2
+    stages = [_build_stage(field, e, mons, work_cap, packed) for e in range(1, ext_bound + 1)]
     zero = field.zero
 
     def probe(coeffs):
@@ -371,20 +379,11 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
         if not active:
             return True
         if packed:
-            for columns in stages:
-                acc = None
-                own = False
+            for columns, low, high in stages:
+                acc = 0
                 for j, _ in active:
-                    col = columns[j]
-                    if acc is None:
-                        acc = col
-                    elif own:
-                        for i, y in enumerate(col):
-                            acc[i] ^= y
-                    else:
-                        acc = [x ^ y for x, y in zip(acc, col)]
-                        own = True
-                if 0 in acc:
+                    acc ^= columns[j]
+                if _has_zero_lane(acc, low, high):
                     return True
             return False
         for E, rows, scalars in stages:

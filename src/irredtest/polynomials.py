@@ -428,7 +428,7 @@ def format_poly(f: SparsePolynomial) -> str:
 # parsing
 
 _OPS = set("+-*^(){},")
-# deepest '(' nesting parse_poly accepts; each level costs three stack frames
+# deepest '(' nesting parse_poly accepts; each level costs two stack frames
 _MAX_DEPTH = 100
 
 
@@ -484,58 +484,61 @@ class _Parser:
         return tok
 
     def parse_expr(self):
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.take()[0] == "-" else 1
-        acc = self.parse_term()
-        if sign < 0:
-            acc = -acc
-        while self.peek()[0] in "+-":
+        """Sum of terms, gathered in one dict so that each term costs its
+        own size and not the size of the sum so far."""
+        field = self.field
+        out = {}
+        op = self.take()[0] if self.peek()[0] in "+-" else "+"
+        while True:
+            for exps, c in self.parse_term().terms.items():
+                if op == "-":
+                    c = field.neg(c)
+                out[exps] = field.add(out[exps], c) if exps in out else c
+            if self.peek()[0] not in "+-":
+                return SparsePolynomial(field, self.n, out)
             op = self.take()[0]
-            t = self.parse_term()
-            acc = acc - t if op == "-" else acc + t
-        return acc
 
     def parse_term(self):
-        f = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.take()
-            f = f * self.parse_factor()
-        return f
-
-    def parse_factor(self):
-        kind, value, pos = self.peek()
+        """Product of factors.  Integer, braced and x_i^e factors gather into
+        one coefficient and one exponent list; only a parenthesised factor
+        multiplies polynomials."""
         field, n = self.field, self.n
-        if kind == "int":
-            self.take()
-            return SparsePolynomial.constant(field, n, field.from_int(value))
-        if kind == "{":
-            return self.parse_braced()
-        if kind == "var":
-            self.take()
-            if not 1 <= value <= n:
-                raise UnknownVariable(
-                    f"x{value} is not among x1..x{n}", position=pos
-                )
-            poly = SparsePolynomial.variable(field, n, value)
-            if self.peek()[0] == "^":
+        coeff, exps, groups = field.one, [0] * n, []
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "int":
                 self.take()
-                ek, ev, epos = self.take()
-                if ek != "int":
-                    raise PolySyntaxError("exponent must be an integer", epos)
-                exps = tuple(ev if j == value - 1 else 0 for j in range(n))
-                poly = SparsePolynomial(field, n, {exps: field.one})
-            return poly
-        if kind == "(":
-            if self.depth == _MAX_DEPTH:
-                raise PolySyntaxError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+                coeff = field.mul(coeff, field.from_int(value))
+            elif kind == "{":
+                coeff = field.mul(coeff, self.parse_braced())
+            elif kind == "var":
+                self.take()
+                if not 1 <= value <= n:
+                    raise UnknownVariable(f"x{value} is not among x1..x{n}", position=pos)
+                power = 1
+                if self.peek()[0] == "^":
+                    self.take()
+                    ek, power, epos = self.take()
+                    if ek != "int":
+                        raise PolySyntaxError("exponent must be an integer", epos)
+                exps[value - 1] += power
+            elif kind == "(":
+                if self.depth == _MAX_DEPTH:
+                    raise PolySyntaxError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+                self.take()
+                self.depth += 1
+                groups.append(self.parse_expr())
+                self.depth -= 1
+                self.take(")")
+            else:
+                raise PolySyntaxError(f"expected a factor, found {kind!r}", pos)
+            if self.peek()[0] != "*":
+                break
             self.take()
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.take(")")
-            return inner
-        raise PolySyntaxError(f"expected a factor, found {kind!r}", pos)
+        term = SparsePolynomial(field, n, {tuple(exps): coeff})
+        for g in groups:
+            term = term * g
+        return term
 
     def parse_braced(self):
         _, _, pos = self.take("{")
@@ -545,10 +548,9 @@ class _Parser:
             coords.append(self.take("int")[1])
         self.take("}")
         try:
-            elem = self.field.from_coords(coords)
+            return self.field.from_coords(coords)
         except RangeError as exc:
             raise PolySyntaxError(str(exc), pos) from None
-        return SparsePolynomial.constant(self.field, self.n, elem)
 
 
 def parse_poly(text: str, field: Field, n: int) -> SparsePolynomial:

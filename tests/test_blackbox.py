@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from irredtest import (
     substitute_bb,
     ternary_monomials,
 )
+from irredtest.blackbox import _has_zero_lane
 
 from conftest import all_points, naive_det, naive_rank
 
@@ -379,6 +382,73 @@ def test_singular_matches_naive_scan_where_p_divides_an_exponent():
             assert answer == naive_singular(field, d, pt, 2)
             answers.add(answer)
         assert answers == {True, False}
+
+
+def singular_bits(bb, forms):
+    """The oracle's answers as a string of '0' and '1', in `forms` order."""
+    return "".join("1" if bb.is_zero_at(f) else "0" for f in forms)
+
+
+# answers over every GF(2) form, pinned from the list-column probe that the
+# lane-packed probe replaced: (d, ext_bound) -> (singular forms, sha256)
+F2_SINGULAR_DIGESTS = {
+    (1, 1): (1, "fa95b43be4cf8bb030d85e663324ecc5247c2af6272672bfd4bbc1020b40582b"),
+    (2, 4): (36, "99a36c1a4f07f3425c52422205e59abfa3737d45fe67980b153e89a423c548b4"),
+    (3, 2): (680, "c7c33a5d0bc3304f2ef0117d5cc69d006ae0971a39c553d33394e97e0c76f4e0"),
+    (3, 4): (688, "11e67c845d3e1060ffea202a0c3798e0fa57567f09ad7e42d4f71305c62797b2"),
+}
+
+
+@pytest.mark.parametrize("d, ext_bound", sorted(F2_SINGULAR_DIGESTS))
+def test_singular_f2_answers_are_pinned(d, ext_bound):
+    bb = singular_curve_bb(d, F2, ext_bound=ext_bound)
+    bits = singular_bits(bb, itertools.product((0, 1), repeat=bb.n))
+    assert len(bits) == 2**bb.n
+    count, digest = F2_SINGULAR_DIGESTS[d, ext_bound]
+    assert (bits.count("1"), hashlib.sha256(bits.encode()).hexdigest()) == (count, digest)
+
+
+def test_singular_f2_quartic_sample_is_pinned():
+    bb = singular_curve_bb(4, F2, ext_bound=2)
+    rnd = random.Random(2004)
+    words = [rnd.getrandbits(bb.n) for _ in range(3000)]
+    bits = singular_bits(bb, (tuple(w >> j & 1 for j in range(bb.n)) for w in words))
+    assert bits.count("1") == 1899
+    digest = "d41d0eeb95ea0d1798ebdde3cafc820a7b6ba61161ccba008db12a9345df56fe"
+    assert hashlib.sha256(bits.encode()).hexdigest() == digest
+
+
+def lanes(values, width):
+    """Little-endian lanes of `width` bytes, and the low and high masks."""
+    acc = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    low = int.from_bytes(b"\1".ljust(width, b"\0") * len(values), "little")
+    return acc, low, low << (8 * width - 1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_zero_lane_mask(width):
+    top = 1 << (8 * width - 1)
+    full = (1 << 8 * width) - 1
+    cases = [
+        ([0, 5, 7, 9], True),  # bottom
+        ([5, 7, 9, 0], True),  # top
+        ([5, 0, 9, 1], True),  # middle, with a 1 above it
+        ([0, 0, 0, 0], True),
+        ([1, 2, 3, 4], False),
+        ([1, 1, 1, 1], False),
+        ([0x80] * 4, False),
+        ([0xFF] * 4, False),
+        ([top, full, top + 1, 1], False),
+        ([top, full, 0, top], True),
+        ([full, 0x80, 0xFF, 1], False),
+        ([0], True),
+        ([full], False),
+    ]
+    for values, expected in cases:
+        assert _has_zero_lane(*lanes(values, width)) is expected, (values, width)
+    if width == 1:
+        for pair in itertools.product(range(256), repeat=2):
+            assert _has_zero_lane(*lanes(pair, 1)) is (0 in pair), pair
 
 
 def test_singular_extension_base_field():

@@ -40,6 +40,10 @@ def test_parse_basic_examples():
     assert parse_poly("(x1 + 1) * (x1 + 1)", F2, 1).terms == {(2,): 1, (0,): 1}
     assert parse_poly("x1^0", F5 := GF(5), 1).terms == {(0,): 1}
     assert parse_poly("2 * x2^3", F7, 2).terms == {(0, 3): 2}
+    # a variable met again in a term adds its exponent; constants multiply
+    f = parse_poly("x1*x2^2*3*(x2 + 1)*x1^3*4*x2", F7, 2)
+    assert f.terms == {(4, 4): 5, (4, 3): 5}
+    assert parse_poly("- x1 - 2*x1*x1 + (x1*x1)", F7, 1).terms == {(1,): 6, (2,): 6}
 
 
 def test_parse_whitespace_insensitive():
@@ -70,6 +74,21 @@ def test_parse_nesting_depth_is_bounded():
     assert info.value.position == 5 + 100
     # siblings do not add up: depth counts only open parentheses
     assert parse_poly(" + ".join(["(" * 100 + "x1" + ")" * 100] * 3), F7, 1).terms == {(1,): 3}
+
+
+def test_parse_is_linear_in_the_text():
+    # a term's factors gather into one exponent list, and a sum's terms into
+    # one dict; a polynomial product per factor or a copy per term made
+    # parse time grow with the square of the length
+    n = 10_000
+    start = time.perf_counter()
+    f = parse_poly("*".join(f"x{i}" for i in range(1, n + 1)) + " + 1", F7, n)
+    assert time.perf_counter() - start < 1.0
+    assert f.terms == {(1,) * n: 1, (0,) * n: 1}
+    start = time.perf_counter()
+    g = parse_poly(" + ".join(f"x1^{e}" for e in range(20_000)), F7, 1)
+    assert time.perf_counter() - start < 1.0
+    assert g.terms == {(e,): 1 for e in range(20_000)}
 
 
 def test_parse_error_positions():
