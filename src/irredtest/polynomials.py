@@ -12,7 +12,11 @@ nonzero coefficients.  The text grammar (variables x1, x2, ..., explicit
 Braced literals name extension field coefficients coordinate-wise; they
 exist so that formatting stays invertible over extension fields.  Plain
 integer literals cover every prime field constant.  Parentheses nest at
-most 100 deep (_MAX_DEPTH); a deeper '(' is a PolySyntaxError.
+most 100 deep (_MAX_DEPTH); a deeper '(' is a PolySyntaxError.  Each term
+is a dense exponent tuple of n entries, so a parse builds at most
+_MAX_ENTRIES of them in all (terms x n, products of parenthesised sums
+counted before they are formed) and raises UnsupportedSize before a term
+would pass that.
 """
 
 import functools
@@ -23,6 +27,7 @@ from .errors import (
     PolySyntaxError,
     RangeError,
     UnknownVariable,
+    UnsupportedSize,
 )
 from .fields import Field
 
@@ -430,6 +435,9 @@ def format_poly(f: SparsePolynomial) -> str:
 _OPS = set("+-*^(){},")
 # deepest '(' nesting parse_poly accepts; each level costs two stack frames
 _MAX_DEPTH = 100
+# exponent entries one parse may build; a sum of 1,000 one-variable terms in
+# 1,000 variables reaches it and parses in about 0.15 s
+_MAX_ENTRIES = 1_000_000
 
 
 def _tokenize(text):
@@ -470,6 +478,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.entries = 0
         self.field = field
         self.n = n
 
@@ -482,6 +491,14 @@ class _Parser:
             raise PolySyntaxError(f"expected {kind}, found {tok[0]!r}", tok[2])
         self.pos += 1
         return tok
+
+    def charge(self, terms, pos):
+        """Count the entries of `terms` exponent tuples about to be built."""
+        self.entries += terms * self.n
+        if self.entries > _MAX_ENTRIES:
+            raise UnsupportedSize(
+                f"terms x variables passes {_MAX_ENTRIES} at position {pos}"
+            )
 
     def parse_expr(self):
         """Sum of terms, gathered in one dict so that each term costs its
@@ -503,6 +520,7 @@ class _Parser:
         one coefficient and one exponent list; only a parenthesised factor
         multiplies polynomials."""
         field, n = self.field, self.n
+        self.charge(1, self.peek()[2])
         coeff, exps, groups = field.one, [0] * n, []
         while True:
             kind, value, pos = self.peek()
@@ -537,6 +555,7 @@ class _Parser:
             self.take()
         term = SparsePolynomial(field, n, {tuple(exps): coeff})
         for g in groups:
+            self.charge(len(term.terms) * len(g.terms), pos)
             term = term * g
         return term
 

@@ -418,6 +418,45 @@ def test_singular_f2_quartic_sample_is_pinned():
     assert hashlib.sha256(bits.encode()).hexdigest() == digest
 
 
+def test_singular_f3_conics_are_pinned():
+    # over an odd characteristic a conic is singular iff its symmetric
+    # matrix [[2a, b, c], [b, 2d, e], [c, e, 2f]] is; its singular points
+    # span that matrix's kernel, which is defined over F_3
+    bb = singular_curve_bb(2, F3, ext_bound=2)
+    forms = list(itertools.product(range(3), repeat=6))
+    bits = singular_bits(bb, forms)
+    dets = "".join(
+        "1" if naive_det(F3, [[2 * a % 3, b, c], [b, 2 * d % 3, e], [c, e, 2 * f % 3]]) == 0 else "0"
+        for a, b, c, d, e, f in forms
+    )
+    assert bits == dets and bits.count("1") == 261
+    digest = "0b0473765ec9b68a79c255acaf258c31ce28f2abbf548feea7921645375a8c38"
+    assert hashlib.sha256(bits.encode()).hexdigest() == digest
+
+
+# sampled odd-p and extension-base answers, pinned from schoolbook extension
+# arithmetic: (field, d, forms, singular forms, sha256)
+SAMPLED_SINGULAR_DIGESTS = {
+    "GF(3) cubics": (
+        F3, 3, 300, 129, "9b7e3eadda7710a73a7841134901f1d29acd954365917bb5f426d8157b2a5967"
+    ),
+    "GF(4) cubics": (
+        GF(2, 2), 3, 100, 38, "523c477d3dc64fc07d4629153722b44286b6e8314de7adf72e8ee951303973f0"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_SINGULAR_DIGESTS))
+def test_singular_odd_and_extension_samples_are_pinned(case):
+    field, d, count, singular, digest = SAMPLED_SINGULAR_DIGESTS[case]
+    bb = singular_curve_bb(d, field, ext_bound=2)
+    rnd = random.Random(13)
+    els = field.elements()
+    forms = [tuple(rnd.choice(els) for _ in range(bb.n)) for _ in range(count)]
+    bits = singular_bits(bb, forms)
+    assert (bits.count("1"), hashlib.sha256(bits.encode()).hexdigest()) == (singular, digest)
+
+
 def lanes(values, width):
     """Little-endian lanes of `width` bytes, and the low and high masks."""
     acc = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")

@@ -283,6 +283,7 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("dist", "--kind", "substitution", "-q", "0", "--x-count", "1", "--m", "3"),
         ("dist", "--kind", "substitution", "-q", "2", "--gamma-x", "1/0"),
         ("run", "--poly", "(" * 400 + "x1" + ")" * 400, "-q", "7", "-n", "1", "-N", "10"),
+        ("run", "--poly", " + ".join(f"x{i}" for i in range(1, 3001)), "-q", "7", "-n", "3000", "-N", "10"),
         ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", "-1"),
         ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", str(2**64)),
         ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", "-1"),

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import random
 import time
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from irredtest import (
     DEFAULT_MODULI,
     DivisionByZero,
+    ExtensionField,
     FieldSpec,
     GF,
     NonPrimeCharacteristic,
@@ -18,7 +21,7 @@ from irredtest import (
     is_prime,
     make_field,
 )
-from irredtest.fields import _poly_is_irreducible, power_exceeds
+from irredtest.fields import TABLE_CAP, _poly_is_irreducible, power_exceeds
 
 SMALL_FIELDS = [
     GF(2),
@@ -204,6 +207,131 @@ def test_large_moduli_build_fast():
     with pytest.raises(ReducibleModulus):
         make_field("10000019^2:10000018,0,1")  # x^2 - 1
     assert time.perf_counter() - start < 1.0
+
+
+def _divides(d, m, p):
+    """Whether the monic d divides m over F_p, by long division."""
+    m = list(m)
+    for i in range(len(m) - len(d), -1, -1):
+        c = m[i + len(d) - 1]
+        for j, dj in enumerate(d):
+            m[i + j] = (m[i + j] - c * dj) % p
+    return not any(m)
+
+
+def _first_irreducible_by_trial_division(p, k):
+    """find_irreducible's scan order, each candidate tested against every
+    monic polynomial of degree 1..k/2."""
+    divisors = [
+        tail + (1,)
+        for deg in range(1, k // 2 + 1)
+        for tail in itertools.product(range(p), repeat=deg)
+    ]
+    for idx in range(p**k):
+        cand = tuple(idx // p**i % p for i in range(k)) + (1,)
+        if not any(_divides(d, cand, p) for d in divisors):
+            return cand
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p**k <= 3**5 or p == 2],
+)
+def test_find_irreducible_matches_trial_division(p, k):
+    modulus = find_irreducible(p, k)
+    assert modulus == _first_irreducible_by_trial_division(p, k)
+    field = GF(p, k, modulus)
+    g = field.element_from_index(field.q - 1)
+    assert field.mul(g, field.inv(g)) == field.one
+
+
+def _schoolbook(field):
+    """A second context for field's spec that never builds tables."""
+    twin = ExtensionField(field.spec)
+    twin._log = {}
+    return twin
+
+
+def _assert_tables_match_schoolbook(field, pairs):
+    school = _schoolbook(field)
+    n = field.q - 1
+    for a, b in pairs:
+        for op in ("mul", "add", "sub"):
+            assert getattr(field, op)(a, b) == getattr(school, op)(a, b), (op, a, b)
+    for a in {a for pair in pairs for a in pair}:
+        assert field.neg(a) == school.neg(a)
+        for e in (0, 1, 2, n):
+            assert field.pow(a, e) == school.pow(a, e), (a, e)
+        if a == field.zero:
+            for f in (field, school):
+                with pytest.raises(DivisionByZero):
+                    f.inv(a)
+                with pytest.raises(DivisionByZero):
+                    f.pow(a, -1)
+        else:
+            assert field.inv(a) == school.inv(a)
+            for e in (-n - 1, -2, -1, n + 3, 10**9 + 7):
+                assert field.pow(a, e) == school.pow(a, e), (a, e)
+    assert field._log and not school._log
+
+
+@pytest.mark.parametrize(
+    "p, k", [pk for pk in sorted(DEFAULT_MODULI) if pk[0] ** pk[1] <= 256], ids=str
+)
+def test_tables_match_schoolbook_on_every_pair(p, k):
+    field = GF(p, k)
+    els = field.elements()
+    _assert_tables_match_schoolbook(field, list(itertools.product(els, repeat=2)))
+
+
+@pytest.mark.parametrize("p, k", [(7, 3), (2, 9), (5, 4), (3, 6), (31, 2), (2, 10)], ids=str)
+def test_tables_match_schoolbook_on_a_sample(p, k):
+    field = GF(p, k)
+    assert 256 < field.q <= TABLE_CAP
+    rnd = random.Random(p * 100 + k)
+    els = field.elements()
+    pairs = [(rnd.choice(els), rnd.choice(els)) for _ in range(300)]
+    _assert_tables_match_schoolbook(field, pairs + [(field.zero, els[-1]), (els[-1], field.zero)])
+
+
+def test_fields_above_the_table_cap_stay_schoolbook():
+    field = GF(7, 4)
+    assert field.q > TABLE_CAP
+    rnd = random.Random(74)
+    for _ in range(50):
+        a = field.element_from_index(rnd.randrange(1, field.q))
+        b = field.element_from_index(rnd.randrange(field.q))
+        assert field.mul(a, field.inv(a)) == field.one
+        assert field.sub(field.add(a, b), b) == a
+        assert field.pow(a, field.q - 1) == field.one
+    assert field._log == {}
+
+
+def test_tables_are_built_per_field_on_first_use():
+    first, second = GF(3, 2), GF(3, 2)
+    assert first == second and first._log is None
+    first.mul(first.one, first.one)
+    assert first._log and second._log is None
+
+
+def test_tables_refuse_a_reducible_modulus():
+    # x^8 + x + 1 = (x^2 + x + 1)(x^6 + x^5 + x^3 + x^2 + 1) over F_2
+    ring = ExtensionField(FieldSpec(2, 8, (1, 1, 0, 0, 0, 0, 0, 0, 1)))
+    with pytest.raises(ReducibleModulus):
+        ring.mul(ring.one, ring.one)
+
+
+def test_pickle_rebuilds_a_field_without_its_tables():
+    for field in (GF(7), GF(3, 2), GF(2, 10)):
+        fresh = pickle.dumps(field)
+        els = field.elements()
+        field.mul(els[-1], els[-2])
+        assert len(pickle.dumps(field)) == len(fresh)
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy == field
+        for a, b in itertools.product(els[:20] + els[-20:], repeat=2):
+            assert copy.mul(a, b) == field.mul(a, b)
+            assert copy.add(a, b) == field.add(a, b)
 
 
 def test_default_moduli_match_search():

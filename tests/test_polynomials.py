@@ -14,6 +14,7 @@ from irredtest import (
     RangeError,
     SparsePolynomial,
     UnknownVariable,
+    UnsupportedSize,
     format_poly,
     from_poly,
     make_product_trap_fixture,
@@ -22,6 +23,7 @@ from irredtest import (
     random_dense_poly,
     total_degree,
 )
+from irredtest.polynomials import _MAX_ENTRIES
 
 from conftest import all_points, naive_eval
 
@@ -89,6 +91,24 @@ def test_parse_is_linear_in_the_text():
     g = parse_poly(" + ".join(f"x1^{e}" for e in range(20_000)), F7, 1)
     assert time.perf_counter() - start < 1.0
     assert g.terms == {(e,): 1 for e in range(20_000)}
+
+
+def test_parse_cost_is_bounded():
+    # every term is a dense n-tuple: terms x n entries are counted before
+    # they are built, and past _MAX_ENTRIES the parse stops
+    n = 1_000
+    f = parse_poly(" + ".join(f"x{i}" for i in range(1, n + 1)), F7, n)
+    assert len(f.terms) == n and n * n == _MAX_ENTRIES
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSize):
+        parse_poly(" + ".join(f"x{i}" for i in range(1, 3_001)), F7, 3_000)
+    # a product of sums is counted, pair by pair, before it is multiplied out
+    wide = "(" + " + ".join(f"x{i}" for i in range(1, 101)) + ")"
+    with pytest.raises(UnsupportedSize):
+        parse_poly(f"{wide}*{wide}", F7, 100)
+    assert time.perf_counter() - start < 1.0
+    half = "(" + " + ".join(f"x{i}" for i in range(1, 51)) + ")"
+    assert len(parse_poly(f"{half}*{half}", F7, 50).terms) == 50 * 51 // 2
 
 
 def test_parse_error_positions():
