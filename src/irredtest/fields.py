@@ -12,7 +12,7 @@ found in the copy of F_q^* inside the bigger field, not by scanning it.
 
 An extension field of order at most TABLE_CAP builds, on its first
 arithmetic call, a log table (element tuple -> discrete log to a generator
-g), an antilog list and a Zech table (the log of 1 + g^n).  A product is
+g), an antilog list and a Zech table (the log of 1 + g^i).  A product is
 then one antilog lookup at la + lb and a sum one Zech lookup, for p = 2 and
 odd p alike.  Each field object builds its own tables, from the schoolbook
 helpers below; bigger fields, and the ring in Ben-Or's test, whose modulus
