@@ -278,10 +278,11 @@ def _build_stage(field, e, mons, work_cap, packed):
     b*x^a*y^(b-1)*z^c, c*x^a*y^b*z^(c-1)).  Each is one degree-(d-1)
     monomial value: times a coordinate for the value, times (a mod p) for
     a partial factor, which is zero when p divides a.  Returns (E, rows,
-    scalars), or if `packed` (F_2: addition XORs indices) (columns, low,
-    high): column j is one int whose lane i, W = ceil(4*bits/8) bytes for
-    bits = (E.q-1).bit_length(), is value | dx << bits | dy << 2*bits |
-    dz << 3*bits in indices; low has a 1 per lane, high = low << (8W-1).
+    scalars), scalars[c] being the image of c in E, or if `packed` (F_2:
+    addition XORs elements) (columns, low, high): column j is one int whose
+    lane i, W = ceil(4*bits/8) bytes for bits = (E.q-1).bit_length(), is
+    value | dx << bits | dy << 2*bits | dz << 3*bits; low has a 1 per lane,
+    high = low << (8W-1).
     """
     E, embed = extension_of(field, e, work_cap=work_cap)
     p, zero, one = field.p, E.zero, E.one
@@ -319,15 +320,14 @@ def _build_stage(field, e, mons, work_cap, packed):
     if packed:
         bits = (E.q - 1).bit_length()
         width = (4 * bits + 7) // 8
-        index = {a: i for i, a in enumerate(els)}
-        lanes = [[sum(index[v] << t * bits for t, v in enumerate(x)) for x in row] for row in rows]
+        lanes = [[sum(v << t * bits for t, v in enumerate(x)) for x in row] for row in rows]
         columns = [
             int.from_bytes(b"".join(v.to_bytes(width, "little") for v in col), "little")
             for col in zip(*lanes)
         ]
         low = int.from_bytes(b"\1".ljust(width, b"\0") * len(rows), "little")
         return columns, low, low << (8 * width - 1)
-    return E, rows, {a: embed(a) for a in field.elements()}
+    return E, rows, [embed(a) for a in field.elements()]
 
 
 def _has_zero_lane(acc, low, high):
@@ -372,10 +372,9 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
     mons = ternary_monomials(d)
     packed = q == 2
     stages = [_build_stage(field, e, mons, work_cap, packed) for e in range(1, ext_bound + 1)]
-    zero = field.zero
 
     def probe(coeffs):
-        active = [(j, c) for j, c in enumerate(coeffs) if c != zero]
+        active = [(j, c) for j, c in enumerate(coeffs) if c]
         if not active:
             return True
         if packed:

@@ -51,11 +51,10 @@ class Verdict:
 def _points(field, n, seed, lo, hi):
     """Points lo..hi-1 of run (seed); point i depends only on (seed, i)."""
     q = field.q
-    from_index = field.element_from_index
     draws = range(n)
     for i in range(lo, hi):
         below = RandomStream(seed, i).next_below
-        yield tuple([from_index(below(q)) for _ in draws])
+        yield tuple([below(q) for _ in draws])
 
 
 def sample_points(field, n: int, count: int, seed: int):

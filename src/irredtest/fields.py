@@ -1,22 +1,22 @@
 """Finite field contexts F_q for q = p^k.
 
-Elements are plain Python values: residues (ints in [0, p)) for prime
-fields, coefficient tuples of length k for extensions, coordinates listed
-constant-first against a fixed monic irreducible modulus.  A Field object
-owns the arithmetic and the text form of its elements (from_coords,
-format_element); elements themselves carry no back-reference, which keeps
-them hashable and cheap.  An extension modulus is checked by Ben-Or's
-test, polynomial in k and log p, so every p^k < 2^63 builds in milliseconds.
+Every element of every field is an int in [0, q), its index.  Element i
+of an extension has coordinates (i // p^(k-1-j)) % p, constant first, over
+a fixed monic irreducible modulus, so one is p^(k-1).  Only this module
+knows coordinates: from_coords and format_element turn text into elements
+and back.  Operands must be elements; SparsePolynomial's constructor is the
+checked boundary.  An extension modulus is checked by Ben-Or's test,
+polynomial in k and log p, so every p^k < 2^63 builds in milliseconds.
 extension_of embeds an extension base by evaluation at a root of its modulus,
 found in the copy of F_q^* inside the bigger field, not by scanning it.
 
 An extension field of order at most TABLE_CAP builds, on its first
-arithmetic call, a log table (element tuple -> discrete log to a generator
-g), an antilog list and a Zech table (the log of 1 + g^i).  A product is
-then one antilog lookup at la + lb and a sum one Zech lookup, for p = 2 and
-odd p alike.  Each field object builds its own tables, from the schoolbook
-helpers below; bigger fields, and the ring in Ben-Or's test, whose modulus
-may factor, use those helpers throughout.
+arithmetic call, a log list indexed by element (the discrete log to a
+generator g), an antilog list and a Zech table (the log of 1 + g^i).  A
+product is then one antilog lookup at la + lb and a sum one Zech lookup,
+for p = 2 and odd p alike.  Each field object builds its own tables, from
+the schoolbook helpers below; bigger fields use those helpers throughout,
+as does Ben-Or's test, whose candidate modulus may factor.
 """
 
 from dataclasses import dataclass
@@ -171,6 +171,21 @@ def _poly_gcdex(a, b, p):
 # schoolbook arithmetic in F_p[x]/(m): coefficient tuples of length k, with m
 # monic of degree k given by its reduction rows; m need not be irreducible
 
+def _reduction_rows(modulus, p):
+    """x^(k+i) reduced mod the monic modulus of degree k, for i in [0, k-1)."""
+    k = len(modulus) - 1
+    tail = [(-c) % p for c in modulus[:k]]  # x^k == tail
+    rows = [tail]
+    for _ in range(k - 2):
+        prev = rows[-1]
+        shifted = [0] + prev[:-1]
+        lead = prev[-1]
+        if lead:
+            shifted = [(s + lead * t) % p for s, t in zip(shifted, tail)]
+        rows.append(shifted)
+    return tuple(tuple(r) for r in rows)
+
+
 def _ring_mul(a, b, p, reduction):
     k = len(a)
     conv = [0] * (2 * k - 1)
@@ -224,12 +239,11 @@ def _poly_is_irreducible(coeffs, p):
     k = len(coeffs) - 1
     if k == 1:
         return True
-    ring = ExtensionField(FieldSpec(p, k, tuple(coeffs)))
-    ring._log = {}  # schoolbook only: tables need a field
+    reduction = _reduction_rows(coeffs, p)
     x = h = (0, 1) + (0,) * (k - 2)
     for _ in range(k // 2):
-        h = ring.pow(h, p)
-        if _poly_gcdex(coeffs, ring.sub(h, x), p)[0] != [1]:
+        h = _ring_pow(h, p, p, reduction)
+        if _poly_gcdex(coeffs, [(a - b) % p for a, b in zip(h, x)], p)[0] != [1]:
             return False
     return True
 
@@ -268,9 +282,11 @@ DEFAULT_MODULI = {
 
 
 class Field:
-    """Shared interface; concrete arithmetic lives in the subclasses."""
+    """Shared interface; concrete arithmetic lives in the subclasses.  Operands
+    must be elements, ints in [0, q): the table lookups do not check them, and
+    SparsePolynomial's constructor is the checked boundary."""
 
-    __slots__ = ("spec", "p", "k", "q", "zero", "one", "_elements")
+    __slots__ = ("spec", "p", "k", "q", "zero", "one")
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
@@ -282,13 +298,11 @@ class Field:
         return f"{type(self).__name__}({self.spec})"
 
     def elements(self):
-        """All q elements in enumeration order (cached tuple)."""
-        if self._elements is None:
-            self._elements = tuple(self.element_from_index(i) for i in range(self.q))
-        return self._elements
+        """All q elements in enumeration order."""
+        return range(self.q)
 
     def random_element(self, stream):
-        return self.element_from_index(stream.next_below(self.q))
+        return stream.next_below(self.q)
 
     def pow(self, a, e: int):
         if e < 0:
@@ -302,7 +316,7 @@ class Field:
         return result
 
     def __reduce__(self):
-        # rebuilt from the spec: cached elements and tables stay behind
+        # rebuilt from the spec: tables stay behind
         return (type(self), (self.spec,))
 
 
@@ -317,7 +331,6 @@ class PrimeField(Field):
         self.q = spec.p
         self.zero = 0
         self.one = 1 % spec.p
-        self._elements = None
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -344,14 +357,6 @@ class PrimeField(Field):
     def from_int(self, c: int):
         return c % self.p
 
-    def element_from_index(self, i: int):
-        if not 0 <= i < self.q:
-            raise RangeError(f"index {i} outside [0, {self.q})")
-        return i
-
-    def index_of(self, a) -> int:
-        return a % self.p
-
     def from_coords(self, coords):
         """The element written {c} in braced text."""
         if len(coords) != 1:
@@ -366,7 +371,8 @@ class ExtensionField(Field):
     """F_p[x]/(m) for a monic irreducible m of degree k > 1.
 
     Up to TABLE_CAP elements, arithmetic runs on tables built by _tables on
-    the first call; above it, on the schoolbook helpers.
+    the first call; above it, on coordinates: sums digit by digit, products
+    and inverses by the schoolbook helpers through _coords and _element.
     """
 
     __slots__ = ("modulus", "_reduction", "_places", "_log", "_exp", "_zech", "_half")
@@ -377,26 +383,24 @@ class ExtensionField(Field):
         self.k = spec.k
         self.q = spec.p ** spec.k
         self.modulus = spec.modulus
-        self.zero = (0,) * spec.k
-        self.one = (1,) + (0,) * (spec.k - 1)
-        self._elements = None
+        self.zero = 0
+        self.one = spec.p ** (spec.k - 1)
         self._places = tuple(spec.p ** (spec.k - 1 - j) for j in range(spec.k))
-        # x^(k+i) reduced mod the modulus, for i in [0, k-1)
-        p, k = spec.p, spec.k
-        tail = [(-c) % p for c in spec.modulus[:k]]  # x^k == tail
-        rows = [tail]
-        for _ in range(k - 2):
-            prev = rows[-1]
-            shifted = [0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                shifted = [(s + lead * t) % p for s, t in zip(shifted, tail)]
-            rows.append(shifted)
-        self._reduction = tuple(tuple(r) for r in rows)
+        self._reduction = _reduction_rows(spec.modulus, spec.p)
         self._log = None
 
+    def _coords(self, a):
+        """The k coordinates of element a, constant first."""
+        p = self.p
+        return [a // place % p for place in self._places]
+
+    def _element(self, coords):
+        """The element with these coordinates mod p, constant first, zero-padded."""
+        p = self.p
+        return sum([c % p * place for c, place in zip(coords, self._places)])
+
     def _tables(self):
-        """The log table, built on first use; {} above TABLE_CAP.
+        """The log list, built on first use; [] above TABLE_CAP.
 
         With n = q - 1 and g the first generator of F_q^* in index order,
         _log sends g^i to i and zero to 2n.  _exp lists g^0..g^(n-1) twice,
@@ -406,27 +410,32 @@ class ExtensionField(Field):
         that it is indexed by lb - la for lb up to n + _half.
         """
         if self._log is None:
-            self._log = {} if self.q > TABLE_CAP else self._build_tables()
+            self._log = [] if self.q > TABLE_CAP else self._build_tables()
         return self._log
 
     def _build_tables(self):
         p, q, one, reduction = self.p, self.q, self.one, self._reduction
         n = q - 1
+        unit = (1,) + (0,) * (self.k - 1)  # the coordinates of one
         primes = _prime_factors(n)
         for i in range(1, q):
-            g = self.element_from_index(i)
-            if all(_ring_pow(g, n // r, p, reduction) != one for r in primes):
+            g = self._coords(i)
+            if all(_ring_pow(g, n // r, p, reduction) != unit for r in primes):
                 break
-        powers = [one]
+        powers = [unit]
         for _ in range(n - 1):
             powers.append(_ring_mul(powers[-1], g, p, reduction))
-        log = {v: i for i, v in enumerate(powers)}
+        exp = [self._element(v) for v in powers]
+        log = [None] * q
+        for i, v in enumerate(exp):
+            log[v] = i
         # g of order n makes every nonzero element a unit, so m is irreducible
-        if len(log) != n or _ring_mul(powers[-1], g, p, reduction) != one:
+        if None in log[1:] or _ring_mul(powers[-1], g, p, reduction) != unit:
             raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{p}")
-        self._zech = [log.get(((v[0] + 1) % p,) + v[1:]) for v in powers] * 2
-        log[self.zero] = 2 * n
-        self._exp = powers * 2 + [self.zero] * (2 * n + 1)
+        # 1 + v adds one to the top base-p digit of v
+        self._zech = [log[(v + one) % q] for v in exp] * 2
+        log[0] = 2 * n
+        self._exp = exp * 2 + [0] * (2 * n + 1)
         self._half = n // 2 if p > 2 else 0
         return log
 
@@ -441,8 +450,8 @@ class ExtensionField(Field):
                 return b
             z = self._zech[lb - la]  # g^la + g^lb = g^la * (1 + g^(lb - la))
             return self.zero if z is None else self._exp[la + z]
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        p = self.p  # (a // t) % p is a's coordinate at place t
+        return sum([(a // t + b // t) % p * t for t in self._places])
 
     def sub(self, a, b):
         log = self._log or self._tables()
@@ -457,20 +466,20 @@ class ExtensionField(Field):
             z = self._zech[lb - la]
             return self.zero if z is None else self._exp[la + z]
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return sum([(a // t - b // t) % p * t for t in self._places])
 
     def neg(self, a):
         log = self._log or self._tables()
         if log:
             return self._exp[log[a] + self._half]
         p = self.p
-        return tuple(-x % p for x in a)
+        return sum([-(a // t) % p * t for t in self._places])
 
     def mul(self, a, b):
         log = self._log or self._tables()
         if log:
             return self._exp[log[a] + log[b]]
-        return _ring_mul(a, b, self.p, self._reduction)
+        return self._element(_ring_mul(self._coords(a), self._coords(b), self.p, self._reduction))
 
     def inv(self, a):
         log = self._log or self._tables()
@@ -478,9 +487,8 @@ class ExtensionField(Field):
             la = log[a]
             if la < self.q:
                 return self._exp[self.q - 1 - la]
-        elif any(a):
-            _, coeffs = _poly_gcdex(self.modulus, a, self.p)
-            return tuple(coeffs) + (0,) * (self.k - len(coeffs))
+        elif a:
+            return self._element(_poly_gcdex(self.modulus, self._coords(a), self.p)[1])
         raise DivisionByZero(f"0 has no inverse in F_{self.p}^{self.k}")
 
     def pow(self, a, e: int):
@@ -495,15 +503,7 @@ class ExtensionField(Field):
         return self.zero if e else self.one
 
     def from_int(self, c: int):
-        return (c % self.p,) + (0,) * (self.k - 1)
-
-    def element_from_index(self, i: int):
-        if not 0 <= i < self.q:
-            raise RangeError(f"index {i} outside [0, {self.q})")
-        return tuple((i // place) % self.p for place in self._places)
-
-    def index_of(self, a) -> int:
-        return sum(c * place for c, place in zip(a, self._places))
+        return c % self.p * self.one
 
     def from_coords(self, coords):
         """The element written {c0,c1,...} in braced text, zero-padded."""
@@ -511,13 +511,13 @@ class ExtensionField(Field):
             raise RangeError(
                 f"braced literal has {len(coords)} coordinates, field has {self.k}"
             )
-        return tuple(c % self.p for c in coords) + (0,) * (self.k - len(coords))
+        return self._element(coords)
 
     def format_element(self, a) -> str:
         """Braced coordinates, or a plain integer for a base-field constant."""
-        if not any(a[1:]):
-            return str(a[0])
-        return "{" + ",".join(str(c) for c in a) + "}"
+        if a % self.one == 0:
+            return str(a // self.one)
+        return "{" + ",".join(str(c) for c in self._coords(a)) + "}"
 
 
 def make_field(spec) -> Field:
@@ -588,7 +588,7 @@ def extension_of(field: Field, e: int, work_cap: int = 10_000_000):
 
     step = (big.q - 1) // (field.q - 1)
     for i in range(1, big.q):
-        root = big.pow(big.element_from_index(i), step)
+        root = big.pow(i, step)
         if at(field.modulus, root) == big.zero:
-            return big, lambda a: at(a, root)
+            return big, lambda a: at(field._coords(a), root)
     raise ReducibleModulus("base modulus has no root in the extension")  # unreachable

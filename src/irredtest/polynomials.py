@@ -70,7 +70,7 @@ class SparsePolynomial:
             raise ArityMismatch(f"variable count must be >= 0, got {n}")
         self.field = field
         self.n = n
-        zero = field.zero
+        q = field.q
         clean = {}
         for exps, c in terms.items():
             if len(exps) != n:
@@ -79,7 +79,10 @@ class SparsePolynomial:
                 )
             if any(e < 0 for e in exps):
                 raise RangeError(f"negative exponent in {exps}")
-            if c != zero:
+            # elements index the field's tables, so a stray int would not fail
+            if type(c) is not int or not 0 <= c < q:
+                raise RangeError(f"coefficient {c!r} is not an element of F_{q}")
+            if c:
                 clean[tuple(exps)] = c
         self.terms = clean
         self._evaluator = None
@@ -194,8 +197,7 @@ def _reduced_terms(f: SparsePolynomial):
     for exps, c in f.terms.items():
         key = tuple(1 + (e - 1) % m if e else 0 for e in exps)
         out[key] = field.add(out[key], c) if key in out else c
-    zero = field.zero
-    return {exps: c for exps, c in out.items() if c != zero}
+    return {exps: c for exps, c in out.items() if c}
 
 
 # Binary operations a register's pending expression may reach before it is
@@ -395,10 +397,9 @@ def random_dense_poly(field, n, d, stream) -> SparsePolynomial:
     if d < 0:
         raise RangeError(f"degree must be >= 0, got {d}")
     terms = {}
-    zero = field.zero
     for exps in _monomials(n, d):
         c = field.random_element(stream)
-        if c != zero:
+        if c:
             terms[exps] = c
     return SparsePolynomial(field, n, terms)
 

@@ -215,6 +215,28 @@ def test_run_fixture_singular(capsys):
     assert payload["N"] == 200
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--field", "2^4:1,1,0,0,1", "--poly", "x1*x2 + {0,1}*x3^3 + {1,1}", "-n", "3",
+          "--exact"], (4096, 288, None)),
+        # GF(7^4) is above TABLE_CAP, so these two run on schoolbook arithmetic
+        (["--field", "7^4:1,1,0,0,1", "--poly", "x1^3+{0,1}", "-n", "1", "--exact"],
+         (2401, 3, None)),
+        (["--field", "7^4:1,1,0,0,1", "--poly", "x1*x2+{0,1}*x1^3+{1,1}", "-n", "2",
+          "-N", "3000", "--seed", "2"], (3000, 3, None)),
+        (["--field", "3^2:1,0,1", "--poly", "(x1 + {0,1}*x2)*(x2 + x3 + 1)", "-n", "3",
+          "--seed", "5"], (3889, 802, "LikelyReducible")),
+    ],
+)
+def test_run_extension_field_counts_are_pinned(capsys, argv, want):
+    # taken when extension elements were coordinate tuples, not indices
+    code, out, _ = run_cli(capsys, "run", *argv)
+    payload = json.loads(out)
+    assert (payload["N"], payload["k"], payload.get("outcome")) == want
+    assert code == (3 if want[2] else 0)
+
+
 def test_run_source_validation(capsys):
     code, _, err = run_cli(capsys, "run", "--poly", "x1", "-q", "3")
     assert code == 1 and "-n" in err

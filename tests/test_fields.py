@@ -20,6 +20,7 @@ from irredtest import (
     find_irreducible,
     is_prime,
     make_field,
+    parse_poly,
 )
 from irredtest.fields import TABLE_CAP, _poly_is_irreducible, power_exceeds
 
@@ -68,12 +69,20 @@ def test_field_axioms_exhaustive(field):
             assert field.pow(a, field.q - 1) == field.one
 
 
-@pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: str(f.spec))
+@pytest.mark.parametrize("field", SMALL_FIELDS + [GF(7, 4)], ids=lambda f: str(f.spec))
 def test_index_round_trip(field):
-    for i in range(field.q):
-        assert field.index_of(field.element_from_index(i)) == i
-    with pytest.raises(RangeError):
-        field.element_from_index(field.q)
+    # element i has coordinates (i // p^(k-1-j)) % p, constant first; braced
+    # text and from_coords are the only ways in from coordinates
+    p, k = field.p, field.k
+    if field.q <= 256:
+        els = field.elements()
+    else:
+        rnd = random.Random(field.q)
+        els = [rnd.randrange(field.q) for _ in range(200)] + [0, 1, field.q - 1]
+    for a in els:
+        coords = [a // p ** (k - 1 - j) % p for j in range(k)]
+        assert field.from_coords(coords) == a
+        assert parse_poly(field.format_element(a), field, 0).terms.get((), 0) == a
 
 
 def test_inverse_by_brute_force_f7():
@@ -86,11 +95,11 @@ def test_inverse_by_brute_force_f7():
 
 def test_f16_structure():
     f = GF(2, 4)
-    g = (0, 1, 0, 0)
+    g = 0b0100  # x: coordinates (0, 1, 0, 0)
     # brute-force inverse search agrees with the xgcd inverse
     matches = [b for b in f.elements() if f.mul(g, b) == f.one]
     assert matches == [f.inv(g)]
-    assert f.inv(g) == (1, 0, 0, 1)
+    assert f.inv(g) == 0b1001  # 1 + x^3
     # multiplicative group is cyclic of order 15 and g generates it
     powers = {f.pow(g, e) for e in range(1, 16)}
     assert len(powers) == 15
@@ -241,14 +250,14 @@ def test_find_irreducible_matches_trial_division(p, k):
     modulus = find_irreducible(p, k)
     assert modulus == _first_irreducible_by_trial_division(p, k)
     field = GF(p, k, modulus)
-    g = field.element_from_index(field.q - 1)
+    g = field.q - 1
     assert field.mul(g, field.inv(g)) == field.one
 
 
 def _schoolbook(field):
     """A second context for field's spec that never builds tables."""
     twin = ExtensionField(field.spec)
-    twin._log = {}
+    twin._log = []
     return twin
 
 
@@ -299,12 +308,12 @@ def test_fields_above_the_table_cap_stay_schoolbook():
     assert field.q > TABLE_CAP
     rnd = random.Random(74)
     for _ in range(50):
-        a = field.element_from_index(rnd.randrange(1, field.q))
-        b = field.element_from_index(rnd.randrange(field.q))
+        a = rnd.randrange(1, field.q)
+        b = rnd.randrange(field.q)
         assert field.mul(a, field.inv(a)) == field.one
         assert field.sub(field.add(a, b), b) == a
         assert field.pow(a, field.q - 1) == field.one
-    assert field._log == {}
+    assert field._log == []
 
 
 def test_tables_are_built_per_field_on_first_use():
@@ -329,7 +338,7 @@ def test_pickle_rebuilds_a_field_without_its_tables():
         assert len(pickle.dumps(field)) == len(fresh)
         copy = pickle.loads(pickle.dumps(field))
         assert copy == field
-        for a, b in itertools.product(els[:20] + els[-20:], repeat=2):
+        for a, b in itertools.product([*els[:20], *els[-20:]], repeat=2):
             assert copy.mul(a, b) == field.mul(a, b)
             assert copy.add(a, b) == field.add(a, b)
 
@@ -392,16 +401,16 @@ def test_extension_of_extension_base_is_fast():
 
 def test_braced_coordinates_and_formatting():
     F4, F7 = GF(2, 2), GF(7)
-    assert F4.from_coords([3, 1]) == (1, 1)
-    assert F4.from_coords([1]) == (1, 0)
+    assert F4.from_coords([3, 1]) == 0b11
+    assert F4.from_coords([1]) == 0b10
     assert F7.from_coords([9]) == 2
     with pytest.raises(RangeError, match="prime field take one coordinate"):
         F7.from_coords([1, 1])
     with pytest.raises(RangeError, match="3 coordinates, field has 2"):
         F4.from_coords([1, 0, 0])
-    assert F4.format_element((1, 0)) == "1"
-    assert F4.format_element((0, 0)) == "0"
-    assert F4.format_element((0, 1)) == "{0,1}"
+    assert F4.format_element(0b10) == "1"
+    assert F4.format_element(0b00) == "0"
+    assert F4.format_element(0b01) == "{0,1}"
     assert F7.format_element(5) == "5"
 
 
