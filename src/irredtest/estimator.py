@@ -15,7 +15,7 @@ from .blackbox import BlackBox
 from .errors import ArityMismatch, DomainTooLarge, FieldMismatch, RangeError
 from .fields import power_exceeds
 from .planner import TestPlan
-from .rng import RandomStream
+from .rng import prefilled_streams
 from .stats import ConfidenceInterval, wald_interval
 
 LIKELY_IRREDUCIBLE = "LikelyIrreducible"
@@ -49,11 +49,17 @@ class Verdict:
 
 
 def _points(field, n, seed, lo, hi):
-    """Points lo..hi-1 of run (seed); point i depends only on (seed, i)."""
+    """Points lo..hi-1 of run (seed); point i depends only on (seed, i).
+
+    Point i is n draws next_below(q) from RandomStream(seed, i).  The
+    streams come in batches that already hold the blocks those draws take
+    when none is rejected: one word a draw, two when q exceeds 2^32.
+    """
     q = field.q
     draws = range(n)
-    for i in range(lo, hi):
-        below = RandomStream(seed, i).next_below
+    words = n if q <= 1 << 32 else 2 * n
+    for stream in prefilled_streams(seed, lo, hi, -(-words // 4)):
+        below = stream.next_below
         yield tuple([below(q) for _ in draws])
 
 

@@ -356,8 +356,13 @@ def _define(source, namespace):
 
 
 def _extension_evaluator(f: SparsePolynomial):
-    """Evaluator over an extension field: one power row per variable."""
+    """Evaluator over an extension field: one power row per variable.
+
+    Coordinates index the field's tables, so each is checked to be an
+    element; a prime field's compiled evaluator reduces them mod p instead.
+    """
     field = f.field
+    q = field.q
     terms = _reduced_terms(f)
     maxes = [max((exps[i] for exps in terms), default=0) for i in range(f.n)]
 
@@ -365,6 +370,8 @@ def _extension_evaluator(f: SparsePolynomial):
         one = field.one
         pows = []
         for x, m in zip(point, maxes):
+            if type(x) is not int or not 0 <= x < q:
+                raise RangeError(f"coordinate {x!r} is not an element of F_{q}")
             row = [one]
             for _ in range(m):
                 row.append(field.mul(row[-1], x))

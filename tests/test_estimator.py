@@ -32,8 +32,10 @@ from irredtest import (
     random_dense_poly,
     run_irreducibility_test,
     sample_points,
+    rng,
     total_degree,
 )
+from irredtest.estimator import _points
 
 F2 = GF(2)
 F3 = GF(3)
@@ -183,6 +185,48 @@ def test_sharded_counts_are_identical():
         parts = [count_zeros_range(bb, 21, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert sum(parts) == base
     assert count_zeros_range(bb, 21, 3000, 3000) == 0
+
+
+def test_range_splits_off_batch_boundaries():
+    # points are built in batches of rng.BATCH streams; ranges that start
+    # and stop inside batches must still sum to the one-pass count
+    batch = rng.BATCH
+    bb = from_poly(parse_poly("x1*x2 + x3", F7, 3))
+    total = 3 * batch + 17
+    base = count_zeros(bb, total, seed=8)
+    for cuts in ([1], [batch - 1, batch + 1], [5, batch, 2 * batch - 3, 3 * batch + 16]):
+        bounds = [0, *cuts, total]
+        parts = [count_zeros_range(bb, 8, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert sum(parts) == base
+
+
+def _points_one_stream_each(field, n, seed, lo, hi):
+    out = []
+    for i in range(lo, hi):
+        below = RandomStream(seed, i).next_below
+        out.append(tuple(below(field.q) for _ in range(n)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field, n, seed, lo, hi",
+    [
+        # the index's high word turns nonzero inside a batch
+        (F7, 3, 1, 2**32 - 300, 2**32 + 300),
+        (F2, 10, 5, 2**32 - 3, 2**32 + 700),
+        # seeds as RandomStream masks them: to 64 bits, then split in two
+        (F5, 4, -1, 0, 600),
+        (GF(13), 5, 2**64 + 5, 100, 700),
+        (GF(3, 2), 9, 2**40 + 7, 2**32 - 7, 2**32 + 7),
+        # about half the words are rejected, so draws run into _refill
+        (GF(2147483659), 4, 2**40 + 7, 2**32 - 300, 2**32 + 300),
+        (GF(2147483659), 9, 3, 0, 300),
+        # above 2^32 a draw takes two words
+        (GF(2**61 - 1), 3, 4, 0, 300),
+    ],
+)
+def test_points_equal_one_stream_per_index(field, n, seed, lo, hi):
+    assert list(_points(field, n, seed, lo, hi)) == _points_one_stream_each(field, n, seed, lo, hi)
 
 
 def test_count_zeros_range_rejects_bad_ranges():

@@ -308,6 +308,20 @@ def test_evaluate_examples():
     assert g == f and g.evaluate((1, 1)) == 0
 
 
+def test_extension_coordinates_must_be_elements():
+    # coordinates index the extension tables: -1 would read the last entry
+    # (element 8 of GF(9), not the field's -1), and 9 would run off the end
+    f = parse_poly("x1 + 1", GF(3, 2), 1)
+    for x in (-1, 9, 3.0, True, (1, 0)):
+        with pytest.raises(RangeError):
+            f.evaluate((x,))
+        with pytest.raises(RangeError):
+            from_poly(f).is_zero_at((x,))
+    assert [f.evaluate((x,)) for x in (0, 8)] == [3, 2]
+    # a prime field still reduces any int mod p
+    assert parse_poly("x1 + 1", F7, 1).evaluate((-1,)) == 0
+
+
 def test_arithmetic_identities():
     stream = RandomStream(13, stream=0)
     f = random_dense_poly(F3, 2, 3, stream)

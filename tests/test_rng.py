@@ -60,12 +60,71 @@ def test_philox_matches_the_loop_over_rounds(key0, key1, c0, c1, c2, c3):
     assert philox4x32(key0, key1, c0, c1, c2, c3) == want
 
 
+def _pack(words):
+    return sum(w << 64 * j for j, w in enumerate(words))
+
+
+def _lane(packed, j):
+    return packed >> 64 * j & 0xFFFFFFFFFFFFFFFF
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[WORD] * 6), min_size=1, max_size=70))
+@example([(0xFFFFFFFF,) * 6] * 70)
+@example([(0,) * 6, (0xFFFFFFFF,) * 6, (0, 0, 0xFFFFFFFF, 0xFFFFFFFF, 0, 0xFFFFFFFF)])
+def test_lane_packed_block_matches_each_lane(lanes):
+    # every lane has its own keys and counters, high words included; a lane
+    # whose products carry into its top bits must not disturb its neighbours
+    args = [_pack(col) for col in zip(*lanes)]
+    out = philox4x32(*args, lanes=len(lanes))
+    for j, words in enumerate(lanes):
+        assert tuple(_lane(w, j) for w in out) == naive_philox(*words)
+    assert all(w >> 64 * len(lanes) == 0 for w in out)
+
+
+def test_lane_count_must_be_positive():
+    for lanes in (0, -3):
+        with pytest.raises(RangeError):
+            philox4x32(0, 0, 0, 0, 0, 0, lanes)
+
+
 def test_key_schedule_memo_stays_small():
     # one schedule per distinct key pair, so a caller cycling through many
     # seeds must not grow the memo without bound
     for key in range(500):
         assert philox4x32(key, 1, 2, 3, 4, 5) == naive_philox(key, 1, 2, 3, 4, 5)
     assert len(rng._SCHEDULES) <= rng._SCHEDULES_MAX
+    # lane-packed keys are as large as the batch and never kept, so batches
+    # over many seeds leave the memo as it was
+    kept = dict(rng._SCHEDULES)
+    for key in range(200):
+        out = philox4x32(_pack([key] * 40), _pack([1] * 40), 0, 0, _pack(range(40)), 0, 40)
+        assert _lane(out[0], 39) == naive_philox(key, 1, 0, 0, 39, 0)[0]
+        for stream in rng.prefilled_streams(key, 0, 300, 1):
+            stream.next_u32()
+    assert rng._SCHEDULES == kept
+
+
+@pytest.mark.parametrize(
+    "seed, lo, hi, blocks",
+    [
+        (7, 0, 600, 1),
+        (-1, 2**32 - 70, 2**32 + 70, 3),
+        (2**64 + 5, 2**64 - 5, 2**64 + 5, 2),
+        (2**40 + 7, 250, 520, 0),
+        # so many blocks a stream that a batch holds only 16 streams
+        (3, 0, 40, rng._BATCH_BLOCKS // 16),
+    ],
+)
+def test_prefilled_streams_continue_as_fresh_streams(seed, lo, hi, blocks):
+    # a prefilled stream hands out its words, then refills from block
+    # `blocks` on, exactly as a fresh RandomStream(seed, i) does
+    streams = list(rng.prefilled_streams(seed, lo, hi, blocks))
+    assert [s.stream for s in streams] == [i & 0xFFFFFFFFFFFFFFFF for i in range(lo, hi)]
+    for i, stream in zip(range(lo, hi), streams):
+        fresh = RandomStream(seed, i)
+        take = 4 * max(blocks, 1) + 5
+        assert [stream.next_u32() for _ in range(take)] == [fresh.next_u32() for _ in range(take)]
 
 
 def test_next_below_draws_are_frozen():
@@ -167,3 +226,24 @@ def test_word_order_matches_raw_blocks(seed, stream):
         stream >> 32,
     )
     assert [rs.next_u32() for _ in range(8)] == list(first) + list(second)
+
+
+def test_batches_hold_a_bounded_number_of_blocks(monkeypatch):
+    # up to rng.BATCH streams a batch, fewer when their blocks would pass
+    # rng._BATCH_BLOCKS; the kernel is looked up at call time, so the spy
+    # sees every call
+    seen = []
+    kernel = rng.philox4x32
+
+    def spy(*args):
+        seen.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(rng, "philox4x32", spy)
+    cap = rng._BATCH_BLOCKS
+    cases = ((1, 600, rng.BATCH), (3, 600, rng.BATCH), (cap // 16, 40, 16), (cap + 1, 2, 1))
+    for blocks, count, lanes in cases:
+        seen.clear()
+        assert len(list(rng.prefilled_streams(1, 0, count, blocks))) == count
+        assert max(seen) == lanes
+        assert len(seen) == blocks * -(-count // lanes)
