@@ -114,24 +114,25 @@ def estimate_gamma(
     seed: int,
     epsilon: float = 0.005,
     mode: str = "auto",
-    exact_cap: int = EXACT_CAP_DEFAULT,
 ) -> SampleReport:
     """Measure the zero fraction of an oracle.
 
     mode "auto" switches to exhaustive counting when the full domain is both
-    within exact_cap and no bigger than the requested sample count; "sample"
-    and "exact" force the respective path.  Sampled reports carry a Wald
-    interval at level 1 - 2*epsilon.
+    within EXACT_CAP_DEFAULT and no bigger than the requested sample count;
+    "sample" and "exact" force the respective path.  Sampled reports carry a
+    Wald interval at level 1 - 2*epsilon.
     """
     if mode not in ("auto", "sample", "exact"):
         raise RangeError(f"unknown mode {mode!r}")
     q, n = bb.field.q, bb.n
     use_exact = mode == "exact" or (
-        mode == "auto" and not power_exceeds(q, n, exact_cap) and n_samples >= q**n
+        mode == "auto"
+        and not power_exceeds(q, n, EXACT_CAP_DEFAULT)
+        and n_samples >= q**n
     )
     start = time.perf_counter()
     if use_exact:
-        frac = exact_gamma(bb, cap=exact_cap)
+        frac = exact_gamma(bb)
         elapsed = time.perf_counter() - start
         domain = q**n
         return SampleReport(

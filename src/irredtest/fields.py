@@ -39,10 +39,14 @@ TABLE_CAP = 1 << 10
 def power_exceeds(base: int, exponent: int, limit: int) -> bool:
     """base^exponent > limit, for base >= 2, without building a huge power.
 
-    base^exponent >= 2^exponent > limit once exponent reaches
-    limit.bit_length(), so the power is built only below that.
+    With b = base.bit_length(), 2^((b-1)e) <= base^e < 2^(be), so the
+    power is built only when those bounds straddle limit, and then it has
+    fewer than twice limit's bits.
     """
-    return exponent >= limit.bit_length() or base**exponent > limit
+    bits, b = limit.bit_length(), base.bit_length()
+    if exponent * (b - 1) >= bits:
+        return True
+    return exponent * b >= bits and base**exponent > limit
 
 
 # Deterministic Miller-Rabin witness set, exact for n < 2^64.

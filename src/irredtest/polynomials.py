@@ -172,16 +172,15 @@ class SparsePolynomial:
     def evaluate(self, point):
         """Value at a point, one coordinate per variable.
 
-        The first call builds an evaluator and keeps it: generated code
-        in nested Horner form over a prime field, power rows over an
-        extension field.  Nothing is built before that call.
+        The first call builds an evaluator, generated code in nested Horner
+        form over any field (see _compile), and keeps it.  Nothing is built
+        before that call.
         """
         if len(point) != self.n:
             raise ArityMismatch(f"point has {len(point)} coords, need {self.n}")
         fn = self._evaluator
         if fn is None:
-            build = _compile_prime if self.field.k == 1 else _extension_evaluator
-            fn = self._evaluator = build(self)
+            fn = self._evaluator = _compile(self)
         return fn(point)
 
 
@@ -210,22 +209,30 @@ _EXPR_OPS = 16
 _CHUNK_OPS = 256
 
 
-def _compile_prime(f: SparsePolynomial):
-    """Evaluator over F_p as generated code in nested Horner form.
+def _compile(f: SparsePolynomial):
+    """Evaluator as generated code in nested Horner form, over any field.
 
     The reduced terms, sorted by exponent tuple in descending order, are
     the leaves of a trie whose level i branches on the exponent of x_{i+1}.
     A node's value combines its children's by Horner's rule in that
     variable: acc = acc * x^gap + child, where gap is the drop between
-    consecutive child exponents and is taken by one pow(x, gap, p); then
-    acc is multiplied by x to the last child's exponent.  That is about one
+    consecutive child exponents and is taken by one power; then acc is
+    multiplied by x to the last child's exponent.  That is about one
     multiply and one add per term.  The trie is walked by a loop over the
     sorted terms, never by recursion, so a term in thousands of variables
-    builds like a short one.  Sums stay Python ints and one % p ends them.
-    The code holds only integer literals and generated names.
+    builds like a short one.  The zero polynomial is the one constant term 0.
+
+    Over F_p, sums and products are Python int operators, each power is one
+    pow(x, gap, p) and one % p ends the value.  Over an extension the same
+    code calls the field's own arithmetic, as mul(a, b), add(a, b) and
+    pw(x, e), after check(x) has made sure that every coordinate is an
+    element: coordinates index the field's tables, where a prime field
+    reduces any int mod p.  The code holds only integer literals and
+    generated names.
     """
-    code = _HornerCode(f.field.p, f.n)
-    for exps, c in sorted(_reduced_terms(f).items(), reverse=True):
+    terms = sorted(_reduced_terms(f).items(), reverse=True) or [((0,) * f.n, 0)]
+    code = _HornerCode(f.field, f.n)
+    for exps, c in terms:
         code.add(exps, c)
     return code.evaluator()
 
@@ -244,9 +251,25 @@ class _HornerCode:
     chunk's end are passed to the next chunk.
     """
 
-    def __init__(self, p, n):
-        self.p = p
+    def __init__(self, field, n):
         self.n = n
+        self.one = f"{field.one:d}"
+        # how the code spells x_{i+1}^e for e > 1, a product (of a term, of
+        # a sum), a sum and the value, and the names it calls
+        if field.k == 1:
+            p = field.p
+            self.power = f"pow(x{{:d}}, {{:d}}, {p:d})"
+            self.product = ("{}*{}", "({})*{}")
+            self.sum, self.result, self.check = "{} + {}", f"r0 % {p:d}", ""
+            self.namespace = {"pow": pow}
+        else:
+            self.power = "pw(x{:d}, {:d})"
+            self.product = ("mul({}, {})",) * 2
+            self.sum, self.result, self.check = "add({}, {})", "r0", "    check(x)\n"
+            self.namespace = {
+                "mul": field.mul, "add": field.add, "pw": field.pow,
+                "check": _element_check(field.q),
+            }
         self.prev = None  # exponents of the last term: the open path
         self.reg = [0] * (n + 1)  # register per level; level n holds the coefficient
         self.gap = [0] * (n + 1)  # exponent drop joining a node to its parent, 0 for a first child
@@ -273,7 +296,7 @@ class _HornerCode:
             reg[level] = k
         for level in range(split + 2, self.n + 1):
             gap[level] = 0
-        self.pending[k] = [f"{c % self.p:d}", 0, False, set()]
+        self.pending[k] = [f"{c:d}", 0, False, set()]
         self.prev = exps
 
     def close(self, split):
@@ -288,20 +311,21 @@ class _HornerCode:
             if gap[level]:
                 text, ops, _, used = self.times_power(pending[k - 1], level - 1, gap[level])
                 child = pending[k]
-                pending[k - 1] = [f"{text} + {child[0]}", ops + child[1] + 1, True, used | child[3]]
+                ops += child[1] + 1
+                pending[k - 1] = [self.sum.format(text, child[0]), ops, True, used | child[3]]
                 # a parent that reads r{k} is stored before a later child reuses it
-                if k in self.stored or ops + child[1] + 1 >= _EXPR_OPS:
+                if k in self.stored or ops >= _EXPR_OPS:
                     self.store(k - 1)
                 self.stored.discard(k)
 
     def times_power(self, expr, i, e):
         """The pending expression `expr` times x_{i+1}^e."""
         text, ops, is_sum, used = expr
-        factor = f"x{i:d}" if e == 1 else f"pow(x{i:d}, {e:d}, {self.p:d})"
+        factor = f"x{i:d}" if e == 1 else self.power.format(i, e)
         used.add(i)
-        if text == "1":
+        if text == self.one:
             return [factor, ops, False, used]
-        return [f"({text})*{factor}" if is_sum else f"{text}*{factor}", ops + 1, False, used]
+        return [self.product[is_sum].format(text, factor), ops + 1, False, used]
 
     def store(self, k):
         text, ops, _, used = self.pending[k]
@@ -319,14 +343,12 @@ class _HornerCode:
         self.lines, self.vars, self.ops, self.live_in = [], set(), 0, live_out
 
     def evaluator(self):
-        if self.prev is None:
-            return _zero
         self.close(-1)
         if self.pending[0][0] != "r0":
             self.store(0)
         if self.lines:
             self.end_chunk()
-        namespace = {"pow": pow}
+        namespace = self.namespace
         if len(self.chunks) == 1:  # one call per evaluation for small polynomials
             lines, used, _, _ = self.chunks[0]
             body = _body(lines, used)
@@ -338,7 +360,7 @@ class _HornerCode:
                 _define(f"def c{j:d}(x{args}):\n{_body(lines, used)}    return {out}\n", namespace)
                 calls.append(f"    {out} = c{j:d}(x{args})\n")
             body = "".join(calls)
-        _define(f"def evaluate(x):\n{body}    return r0 % {self.p:d}\n", namespace)
+        _define(f"def evaluate(x):\n{self.check}{body}    return {self.result}\n", namespace)
         return namespace["evaluate"]
 
 
@@ -347,45 +369,20 @@ def _body(lines, used):
     return binds + "\n".join(lines) + "\n"
 
 
-def _zero(point):
-    return 0
-
-
 def _define(source, namespace):
     exec(compile(source, "<irredtest polynomial>", "exec"), namespace)
 
 
-def _extension_evaluator(f: SparsePolynomial):
-    """Evaluator over an extension field: one power row per variable.
+def _element_check(q):
+    """check(x) for generated code over F_q: RangeError unless every
+    coordinate is an int in [0, q)."""
 
-    Coordinates index the field's tables, so each is checked to be an
-    element; a prime field's compiled evaluator reduces them mod p instead.
-    """
-    field = f.field
-    q = field.q
-    terms = _reduced_terms(f)
-    maxes = [max((exps[i] for exps in terms), default=0) for i in range(f.n)]
-
-    def evaluate(point):
-        one = field.one
-        pows = []
-        for x, m in zip(point, maxes):
+    def check(point):
+        for x in point:
             if type(x) is not int or not 0 <= x < q:
                 raise RangeError(f"coordinate {x!r} is not an element of F_{q}")
-            row = [one]
-            for _ in range(m):
-                row.append(field.mul(row[-1], x))
-            pows.append(row)
-        total = field.zero
-        for exps, c in terms.items():
-            v = c
-            for row, e in zip(pows, exps):
-                if e:
-                    v = field.mul(v, row[e])
-            total = field.add(total, v)
-        return total
 
-    return evaluate
+    return check
 
 
 def total_degree(f: SparsePolynomial) -> int:

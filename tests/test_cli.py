@@ -304,6 +304,8 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("dist", "--kind", "substitution", "-q", "3", "--x-count", "1", "--m", "10000000"),
         ("dist", "--kind", "substitution", "-q", "0", "--x-count", "1", "--m", "3"),
         ("dist", "--kind", "substitution", "-q", "2", "--gamma-x", "1/0"),
+        ("dist", "--kind", "det", "-q", "2", "--rows", "4000", "--cols", "4000"),
+        ("dist", "--kind", "det", "-q", str(2**63 - 25), "--rows", "1000", "--cols", "1000"),
         ("run", "--poly", "(" * 400 + "x1" + ")" * 400, "-q", "7", "-n", "1", "-N", "10"),
         ("run", "--poly", " + ".join(f"x{i}" for i in range(1, 3001)), "-q", "7", "-n", "3000", "-N", "10"),
         ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", "-1"),

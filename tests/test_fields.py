@@ -148,6 +148,16 @@ def test_power_exceeds_boundaries():
     assert not power_exceeds(2, 62, (1 << 63) - 1)
     assert power_exceeds(2, 63, (1 << 63) - 1)
     assert power_exceeds(2, 10**15, 10**7)
+    for base, exponent, limit in itertools.product(
+        range(2, 10), range(13), (0, 1, 7, 8, 9, 255, 256, 10**6, 10**9)
+    ):
+        assert power_exceeds(base, exponent, limit) == (base**exponent > limit)
+    # a big base under a big limit is decided by bit lengths, never built:
+    # (2^63 - 25)^500000 alone takes seconds
+    start = time.perf_counter()
+    assert power_exceeds(2**63 - 25, 500_000, 1 << (1 << 19))
+    assert not power_exceeds(2**63 - 25, 8_000, 1 << (1 << 19))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_field_spec_shape_validation():

@@ -23,6 +23,7 @@ from irredtest import (
     random_dense_poly,
     total_degree,
 )
+from irredtest.fields import DEFAULT_MODULI
 from irredtest.polynomials import _MAX_ENTRIES
 
 from conftest import all_points, naive_eval
@@ -201,21 +202,27 @@ def test_evaluate_against_naive_oracle_extension():
         assert f.evaluate(pt) == naive_eval(f, pt)
 
 
+# prime fields, and every shipped extension: on tables up to TABLE_CAP, and
+# GF(7^4), above it, on schoolbook arithmetic
+ORACLE_FIELDS = [GF(p) for p in (2, 3, 7, 13)] + [GF(p, k) for p, k in DEFAULT_MODULI]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_evaluate_matches_naive_oracle_prime_fields(data):
-    # exponents up to 3p exercise the reduction x^e = x^(1 + (e-1) mod (p-1)),
-    # and six variables with up to 40 terms give tries with many branches
-    p = data.draw(st.sampled_from([2, 3, 7, 13]))
+def test_evaluate_matches_naive_oracle_every_field(data):
+    # exponents up to 40 exercise the reduction x^e = x^(1 + (e-1) mod (q-1))
+    # for q up to 27, and six variables with up to 40 terms give tries with
+    # many branches
+    field = data.draw(st.sampled_from(ORACLE_FIELDS))
+    q = field.q
     n = data.draw(st.integers(0, 6))
-    field = GF(p)
     terms = data.draw(
         st.dictionaries(
-            st.tuples(*[st.integers(0, 3 * p)] * n), st.integers(1, p - 1), max_size=40
+            st.tuples(*[st.integers(0, 40)] * n), st.integers(1, q - 1), max_size=40
         )
     )
     f = SparsePolynomial(field, n, terms)
-    points = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=5))
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=5))
     for pt in points + [(0,) * n]:
         assert f.evaluate(pt) == naive_eval(f, pt)
 
@@ -236,7 +243,7 @@ def test_evaluate_large_dense_polynomial():
         assert f.evaluate(pt) == naive_eval(f, pt)
 
 
-@pytest.mark.parametrize("field", [GF(2, 2), GF(10000019)])
+@pytest.mark.parametrize("field", [GF(2, 2), GF(7, 4), GF(10000019)])
 def test_huge_exponent_evaluates_fast(field):
     q = field.q
     f = parse_poly("x1^1000000000 + 1", field, 1)
@@ -311,13 +318,26 @@ def test_evaluate_examples():
 def test_extension_coordinates_must_be_elements():
     # coordinates index the extension tables: -1 would read the last entry
     # (element 8 of GF(9), not the field's -1), and 9 would run off the end
-    f = parse_poly("x1 + 1", GF(3, 2), 1)
+    F9 = GF(3, 2)
+    f = parse_poly("x1 + 1", F9, 1)
     for x in (-1, 9, 3.0, True, (1, 0)):
         with pytest.raises(RangeError):
             f.evaluate((x,))
         with pytest.raises(RangeError):
             from_poly(f).is_zero_at((x,))
     assert [f.evaluate((x,)) for x in (0, 8)] == [3, 2]
+    # every coordinate is checked, read or not: by the zero polynomial, a
+    # constant, and a dense polynomial whose code spans several functions
+    dense = random_dense_poly(F9, 3, 12, RandomStream(4))
+    stream = RandomStream(5, stream=0)
+    for _ in range(50):
+        pt = tuple(stream.next_below(9) for _ in range(3))
+        assert dense.evaluate(pt) == naive_eval(dense, pt)
+    assert "c1" in dense._evaluator.__globals__  # more than _CHUNK_OPS operations
+    for g in (SparsePolynomial.zero(F9, 3), SparsePolynomial.constant(F9, 3, 5), dense):
+        for x in (-1, 9):
+            with pytest.raises(RangeError):
+                g.evaluate((0, x, 0))
     # a prime field still reduces any int mod p
     assert parse_poly("x1 + 1", F7, 1).evaluate((-1,)) == 0
 
