@@ -77,7 +77,7 @@ class SparsePolynomial:
                 raise ArityMismatch(
                     f"exponent tuple {exps} does not match {n} variables"
                 )
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise RangeError(f"negative exponent in {exps}")
             # elements index the field's tables, so a stray int would not fail
             if type(c) is not int or not 0 <= c < q:

@@ -22,6 +22,7 @@ _SCHEDULES_MAX = 64
 # prefilled_streams computes the first blocks of at most BATCH consecutive
 # streams per batch, and of at most _BATCH_BLOCKS blocks in all, so a point
 # in thousands of variables takes fewer streams per batch, not more memory.
+# A stream's own refill computes at most BATCH consecutive blocks at once.
 BATCH = 256
 _BATCH_BLOCKS = 16384
 
@@ -101,28 +102,57 @@ class RandomStream:
 
     Within a stream, 32-bit words are consumed in block order; each block
     is philox4x32(seed_lo, seed_hi, block_lo, block_hi, stream_lo, stream_hi).
+    A refill computes the next `_lanes` blocks in one lane-packed call, and
+    `_lanes` doubles with each refill up to BATCH (1, 2, 4, ...), so a
+    stream that draws a few words computes a block or two and a long one
+    pays for few calls.  `_lanes` 0 means one block and then one more
+    before the doubling starts; prefilled_streams sets it.
     """
 
-    __slots__ = ("seed", "stream", "_block", "_words")
+    __slots__ = ("seed", "stream", "_block", "_lanes", "_words")
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self.stream = stream & 0xFFFFFFFFFFFFFFFF
         self._block = 0
+        self._lanes = 1
         self._words = []
 
     def _refill(self):
-        seed, stream, block = self.seed, self.stream, self._block
-        self._block = block + 1
-        w0, w1, w2, w3 = philox4x32(
-            seed & 0xFFFFFFFF,
-            seed >> 32,
-            block & 0xFFFFFFFF,
-            (block >> 32) & 0xFFFFFFFF,
-            stream & 0xFFFFFFFF,
-            stream >> 32,
+        seed, stream, block, lanes = self.seed, self.stream, self._block, self._lanes
+        if lanes < 2:
+            self._block = block + 1
+            self._lanes = lanes + 1
+            w0, w1, w2, w3 = philox4x32(
+                seed & 0xFFFFFFFF,
+                seed >> 32,
+                block & 0xFFFFFFFF,
+                (block >> 32) & 0xFFFFFFFF,
+                stream & 0xFFFFFFFF,
+                stream >> 32,
+            )
+            self._words = [w3, w2, w1, w0]  # pop() consumes w0 first
+            return
+        self._block = block + lanes
+        self._lanes = min(2 * lanes, BATCH)
+        # lane j counts block + j, wrapping mod 2^64 like a one-lane block
+        ones = _lane_ones(lanes)
+        m = 0xFFFFFFFF * ones
+        counters = _pack([(block + j) & 0xFFFFFFFFFFFFFFFF for j in range(lanes)])
+        words = _lane_words(
+            philox4x32(
+                (seed & 0xFFFFFFFF) * ones,
+                (seed >> 32) * ones,
+                counters & m,
+                counters >> 32 & m,
+                (stream & 0xFFFFFFFF) * ones,
+                (stream >> 32) * ones,
+                lanes,
+            ),
+            lanes,
         )
-        self._words = [w3, w2, w1, w0]  # pop() consumes w0 first
+        words.reverse()  # blocks in order, w0 to w3 each; pop() takes the first w0 first
+        self._words = words
 
     def next_u32(self) -> int:
         words = self._words
@@ -158,6 +188,21 @@ def _pack(words):
     return int.from_bytes(array("Q", words), sys.byteorder)
 
 
+def _lane_words(packed, lanes):
+    """The words of `lanes`-lane packed ints, lane by lane.
+
+    Lane 0's words come first, in the order of `packed`, then lane 1's,
+    and so on.
+    """
+    size, rows = 8 * lanes, len(packed)
+    table = b"".join([w.to_bytes(size, sys.byteorder) for w in packed])
+    table = memoryview(table).cast("Q").tolist()
+    words = [0] * (rows * lanes)
+    for r in range(rows):
+        words[r::rows] = table[r * lanes : (r + 1) * lanes]
+    return words
+
+
 def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
     """RandomStream(seed, i) for i = lo..hi-1, each holding its first blocks.
 
@@ -165,10 +210,12 @@ def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
     comes from one lane-packed philox4x32 call, for b < blocks (at least
     one block).  A stream holds those words and goes on from block
     `blocks`, so every draw it makes, rejections included, is the draw a
-    fresh stream would make.
+    fresh stream would make.  It refills only for rejected words, so its
+    first two refills take one block each, as a rejection mostly needs.
     """
     seed &= 0xFFFFFFFFFFFFFFFF
     blocks = max(blocks, 1)
+    new = RandomStream.__new__
     step = max(1, min(BATCH, _BATCH_BLOCKS // blocks))
     for start in range(lo, hi, step):
         index = range(start, min(start + step, hi))
@@ -181,10 +228,14 @@ def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
         out = []
         for block in reversed(range(blocks)):
             out += reversed(philox4x32(key0, key1, block * ones, 0, c2, c3, lanes))
-        size = 8 * lanes
-        words = memoryview(b"".join([w.to_bytes(size, sys.byteorder) for w in out])).cast("Q")
-        for j, i in enumerate(index):
-            stream = RandomStream(seed, i)
+        words = _lane_words(out, lanes)
+        size = len(out)
+        for i, at in zip(index, range(0, len(words), size)):
+            # every field is set here, once: a batch builds a stream per point
+            stream = new(RandomStream)
+            stream.seed = seed
+            stream.stream = i & 0xFFFFFFFFFFFFFFFF
             stream._block = blocks
-            stream._words = words[j::lanes].tolist()
+            stream._lanes = 0
+            stream._words = words[at : at + size]
             yield stream

@@ -293,6 +293,12 @@ def test_trap_fixture_structure():
     assert max(sum(e) for e in fx.f2) == 5
     assert max(sum(e) for e in fx.f3) == 10
     assert all(len(e) == 4 for e in fx.f)
+    # each fixture's stream reads about 310 blocks through refills of 1 to
+    # 256 blocks; the digest was taken with one block per refill
+    traps = [sorted(make_product_trap_fixture(s).f.items()) for s in range(6)]
+    assert hashlib.sha256(repr(traps).encode()).hexdigest() == (
+        "de812867e2dacb1174ec6481bb57377c472dcc983f2ecd515555b9d447e9a849"
+    )
 
 
 def test_trap_collapses_to_product_mod_7():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import time
@@ -382,8 +383,11 @@ def test_mixing_contexts_raises():
 def test_constructor_validation():
     with pytest.raises(ArityMismatch):
         SparsePolynomial(F3, 2, {(1,): 1})
-    with pytest.raises(RangeError):
-        SparsePolynomial(F3, 1, {(-1,): 1})
+    for exps in ((-1,), (2, 0, -3)):
+        with pytest.raises(RangeError, match=r"^negative exponent in \(.*-\d"):
+            SparsePolynomial(F3, len(exps), {exps: 1})
+    # no variables: the one monomial is the empty tuple
+    assert SparsePolynomial(F3, 0, {(): 2}).terms == {(): 2}
     with pytest.raises(UnknownVariable):
         SparsePolynomial.variable(F3, 2, 3)
     # a coefficient must be an element, an int in [0, q): elements index
@@ -413,6 +417,15 @@ def test_random_dense_poly_shape_and_determinism():
     h = random_dense_poly(F7, 4, 5, RandomStream(22, stream=0))
     assert f != h
     assert random_dense_poly(F7, 2, 0, RandomStream(1)).n == 2
+    # the sextics of c10 and exact-sweep, 53 blocks a stream, so their draws
+    # span several refills; the digest was taken with one block per refill
+    sextics = [
+        sorted(random_dense_poly(F3, 4, 6, RandomStream(s, stream=1 << 32)).terms.items())
+        for s in range(20)
+    ]
+    assert hashlib.sha256(repr(sextics).encode()).hexdigest() == (
+        "c7f0ac4387deebb9cb05b85c7460e5b9019c3bd81dde116a825698998363d83e"
+    )
 
 
 def test_random_dense_poly_draw_order_and_shared_keys():

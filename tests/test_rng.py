@@ -247,3 +247,97 @@ def test_batches_hold_a_bounded_number_of_blocks(monkeypatch):
         assert len(list(rng.prefilled_streams(1, 0, count, blocks))) == count
         assert max(seen) == lanes
         assert len(seen) == blocks * -(-count // lanes)
+
+
+class _OneBlockStream:
+    """Words from one naive_philox block at a time, from block `start` on;
+    u64 and bounded draws are RandomStream's own, read off these words."""
+
+    def __init__(self, seed, stream, start):
+        seed &= 0xFFFFFFFFFFFFFFFF
+        stream &= 0xFFFFFFFFFFFFFFFF
+        self.key = (seed & 0xFFFFFFFF, seed >> 32)
+        self.ctr = (stream & 0xFFFFFFFF, stream >> 32)
+        self.block = start
+        self.words = []
+
+    def next_u32(self):
+        if not self.words:
+            b = self.block & 0xFFFFFFFFFFFFFFFF
+            self.block += 1
+            self.words = list(naive_philox(*self.key, b & 0xFFFFFFFF, b >> 32, *self.ctr))[::-1]
+        return self.words.pop()
+
+    next_u64 = RandomStream.next_u64
+    next_below = RandomStream.next_below
+
+
+def _draw(stream, op, arg):
+    if op == "u32":
+        return [stream.next_u32() for _ in range(arg)]
+    if op == "u64":
+        return [stream.next_u64() for _ in range(arg)]
+    return [stream.next_below(arg) for _ in range(50)]
+
+
+START = st.sampled_from([0, 2**32 - 5, 2**32 - 700, 2**64 - 40, 2**64 - 900])
+START |= st.integers(0, 2**64 - 1)
+# 2^31 + 5 rejects about half the words, 2^64 // 3 + 1 about a third of the pairs
+BOUND = st.sampled_from([7, 2**31 + 5, 2**32, 2**40 + 3, 2**64 // 3 + 1, 2**63])
+BOUND |= st.integers(1, 2**63)
+OPS = st.lists(
+    st.tuples(st.just("u32"), st.integers(1, 1500))
+    | st.tuples(st.just("u64"), st.integers(1, 40))
+    | st.tuples(st.just("below"), BOUND),
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-(2**64), 2**65), st.integers(0, 2**64 - 1), START, st.sampled_from([0, 1]), OPS
+)
+# past the doublings (511 blocks) and then across BATCH-lane refills, over
+# the 2^32 carry into the high counter word and the 2^64 wrap
+@example(7, 1 << 32, 2**32 - 700, 1, [("u32", 3500), ("below", 2**31 + 5), ("u64", 3)])
+@example(-1, 2**64 - 1, 2**64 - 900, 0, [("below", 2**63), ("u32", 3500), ("below", 7)])
+def test_refills_hand_out_the_one_block_words(seed, stream, start, lanes, ops):
+    # however long the refills grow, a stream pops the words of its blocks
+    # in order, rejections included, as one block per refill would; lanes
+    # 0 is how a prefilled stream starts
+    rs = RandomStream(seed, stream)
+    rs._block = start
+    rs._lanes = lanes
+    ref = _OneBlockStream(seed, stream, start)
+    for op, arg in ops:
+        assert _draw(rs, op, arg) == _draw(ref, op, arg)
+    assert _draw(rs, "u32", 9) == _draw(ref, "u32", 9)
+
+
+def test_refills_double_up_to_a_batch(monkeypatch):
+    # the kernel is looked up at call time, so the spy sees every call
+    seen = []
+    kernel = rng.philox4x32
+
+    def spy(*args):
+        seen.append(args[6] if len(args) > 6 else 1)
+        return kernel(*args)
+
+    monkeypatch.setattr(rng, "philox4x32", spy)
+    words = 10_000
+    rs = RandomStream(11, stream=5)
+    for _ in range(words):
+        rs.next_u32()
+    batch = rng.BATCH
+    assert seen[: batch.bit_length()] == [1 << j for j in range(batch.bit_length())]
+    assert max(seen) == batch
+    assert len(seen) <= batch.bit_length() + -(-words // (4 * batch))
+    # a prefilled stream refills for rejected words, which mostly need a
+    # block: its first two refills are one lane each, then it doubles
+    (stream,) = rng.prefilled_streams(11, 5, 6, 2)
+    for _ in range(8):
+        stream.next_u32()
+    seen.clear()
+    for _ in range(4 * 7):
+        stream.next_u32()
+    assert seen == [1, 1, 2, 4]
