@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .fields import Field, extension_of, make_field, power_exceeds
-from .polynomials import SparsePolynomial, parse_poly
+from .polynomials import SparsePolynomial, _monomials_of_degree, parse_poly
 
 
 class BlackBox:
@@ -265,9 +265,7 @@ def ternary_monomials(d: int):
     """Exponent triples (a, b, c) with a+b+c = d, lex descending."""
     if d < 0:
         raise RangeError(f"degree must be >= 0, got {d}")
-    return [
-        (a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)
-    ]
+    return list(_monomials_of_degree(3, d))[::-1]
 
 
 def _build_stage(field, e, mons, work_cap, packed):

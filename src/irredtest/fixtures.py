@@ -1,8 +1,9 @@
 """The product trap fixture: one integer polynomial, opposite verdicts."""
 
 from dataclasses import dataclass
+from math import comb
 
-from .polynomials import SparsePolynomial, monomials_up_to
+from .polynomials import SparsePolynomial, _monomials
 from .rng import RandomStream
 
 TRAP_VARS = 4
@@ -37,18 +38,14 @@ def _int_poly_mul(a, b):
 
 
 def _random_int_poly(nvars, degree, stream):
+    mons = _monomials(nvars, degree)
+    # graded order: the monomials of the top degree come last
+    top = len(mons) - comb(nvars + degree - 1, degree)
     span = _COEFF_HI - _COEFF_LO + 1
     while True:
-        terms = {}
-        has_top = False
-        for exps in monomials_up_to(nvars, degree):
-            c = _COEFF_LO + stream.next_below(span)
-            if c:
-                terms[exps] = c
-                if sum(exps) == degree:
-                    has_top = True
-        if has_top:  # keep the nominal degree exact
-            return terms
+        coeffs = [_COEFF_LO + stream.next_below(span) for _ in mons]
+        if any(coeffs[top:]):  # keep the nominal degree exact
+            return {e: c for e, c in zip(mons, coeffs) if c}
 
 
 @dataclass(frozen=True)

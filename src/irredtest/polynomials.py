@@ -20,6 +20,7 @@ would pass that.
 """
 
 import functools
+import itertools
 
 from .errors import (
     ArityMismatch,
@@ -32,25 +33,25 @@ from .errors import (
 from .fields import Field
 
 
+def _monomials_of_degree(n: int, t: int):
+    """Yield the exponent tuples in n variables of total degree t, lex
+    ascending.  Stars and bars: e_i counts the stars between bars i - 1 and
+    i, and the n - 1 bar slots among t + n - 1 are taken in lex order."""
+    if n == 0:
+        if t == 0:
+            yield ()
+        return
+    end = (t + n - 1,)
+    for bars in itertools.combinations(range(t + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+
+
 def monomials_up_to(n: int, d: int):
     """Yield exponent tuples with total degree <= d, graded lex ascending."""
     if n < 0:
         raise ArityMismatch(f"variable count must be >= 0, got {n}")
-
-    def of_degree(m, total):
-        if m == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in of_degree(m - 1, total - first):
-                yield (first,) + rest
-
-    for total in range(d + 1):
-        if n == 0:
-            if total == 0:
-                yield ()
-            continue
-        yield from of_degree(n, total)
+    for t in range(d + 1):
+        yield from _monomials_of_degree(n, t)
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,12 +144,6 @@ class SparsePolynomial:
                 out[exps] = field.add(out[exps], c) if exps in out else c
         return SparsePolynomial(field, self.n, out)
 
-    def scale(self, c):
-        field = self.field
-        return SparsePolynomial(
-            field, self.n, {e: field.mul(c, v) for e, v in self.terms.items()}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SparsePolynomial)
@@ -174,14 +169,21 @@ class SparsePolynomial:
 
         The first call builds an evaluator, generated code in nested Horner
         form over any field (see _compile), and keeps it.  Nothing is built
-        before that call.
+        before that call.  A coordinate that the value reads and that is not
+        an int raises RangeError; over an extension, so does any non-element.
         """
         if len(point) != self.n:
             raise ArityMismatch(f"point has {len(point)} coords, need {self.n}")
         fn = self._evaluator
         if fn is None:
             fn = self._evaluator = _compile(self)
-        return fn(point)
+        try:
+            value = fn(point)
+        except TypeError:
+            value = None
+        if type(value) is not int:
+            raise RangeError(f"a coordinate of {point!r} is not an int")
+        return value
 
 
 def _reduced_terms(f: SparsePolynomial):
@@ -400,12 +402,9 @@ def random_dense_poly(field, n, d, stream) -> SparsePolynomial:
     """
     if d < 0:
         raise RangeError(f"degree must be >= 0, got {d}")
-    terms = {}
-    for exps in _monomials(n, d):
-        c = field.random_element(stream)
-        if c:
-            terms[exps] = c
-    return SparsePolynomial(field, n, terms)
+    draw = stream.next_below
+    q = field.q
+    return SparsePolynomial(field, n, {e: c for e in _monomials(n, d) if (c := draw(q))})
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,13 @@ def test_ternary_monomials_order():
     assert len(ternary_monomials(5)) == 21
 
 
+def test_ternary_monomials_are_lex_descending():
+    for d in range(9):
+        assert ternary_monomials(d) == [
+            (a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)
+        ]
+
+
 def test_singular_known_forms():
     conic = singular_curve_bb(2, F5)
     assert conic.is_zero_at(form_coeffs(F5, 2, {(1, 1, 0): 1}))  # xy pair of lines

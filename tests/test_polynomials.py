@@ -343,6 +343,21 @@ def test_extension_coordinates_must_be_elements():
     assert parse_poly("x1 + 1", F7, 1).evaluate((-1,)) == 0
 
 
+def test_prime_coordinates_must_be_ints():
+    # a float must not come out as the value 0.0, which counts as a zero, nor
+    # as a bare TypeError from pow()
+    for text, pt in (("x1*x2 + 1", (3.0, 2)), ("x1^2 + 1", (3.0,)), ("x1", ("3",))):
+        f = parse_poly(text, F7, len(pt))
+        with pytest.raises(RangeError):
+            f.evaluate(pt)
+        with pytest.raises(RangeError):
+            from_poly(f).is_zero_at(pt)
+    # ints outside [0, p) still reduce mod p, also through pow()
+    f = parse_poly("x1^2*x2 + 1", F7, 2)
+    assert f.evaluate((10, -1)) == f.evaluate((3, 6)) == 6
+    assert from_poly(f).is_zero_at((-1, 6))
+
+
 def test_arithmetic_identities():
     stream = RandomStream(13, stream=0)
     f = random_dense_poly(F3, 2, 3, stream)
@@ -406,6 +421,26 @@ def test_monomials_up_to_count_and_order():
     assert mons == sorted(mons, key=lambda e: (sum(e), e))
     assert len(set(mons)) == len(mons)
     assert list(monomials_up_to(0, 3)) == [()]
+
+
+def test_monomials_up_to_matches_brute_force():
+    for n in range(6):
+        for d in range(7):
+            ref = sorted(
+                (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d),
+                key=lambda e: (sum(e), e),
+            )
+            assert list(monomials_up_to(n, d)) == ref, (n, d)
+
+
+def test_random_dense_poly_in_many_variables():
+    # past Python's recursion limit: a walk with one level per variable
+    # would raise RecursionError here
+    f = random_dense_poly(F2, 1200, 1, RandomStream(1))
+    assert total_degree(f) == 1
+    stream = RandomStream(2, stream=0)
+    for pt in ((1,) * 1200, tuple(stream.next_below(2) for _ in range(1200))):
+        assert f.evaluate(pt) == naive_eval(f, pt)
 
 
 def test_random_dense_poly_shape_and_determinism():
