@@ -9,6 +9,7 @@ oracle error, 2 infeasible plan, 3 LikelyReducible.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice, product
@@ -306,7 +307,15 @@ def main(argv=None) -> int:
             "run": cmd_run,
             "dist": cmd_dist,
         }[args.command]
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`): point stdout at devnull
+        # so that the flush at exit does not fail too, and exit 1 without a
+        # message, as Python's documented SIGPIPE recipe does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -120,10 +120,12 @@ def estimate_gamma(
     mode "auto" switches to exhaustive counting when the full domain is both
     within EXACT_CAP_DEFAULT and no bigger than the requested sample count;
     "sample" and "exact" force the respective path.  Sampled reports carry a
-    Wald interval at level 1 - 2*epsilon.
+    Wald interval at level 1 - 2*epsilon; every path takes 0 < epsilon <= 1/2.
     """
     if mode not in ("auto", "sample", "exact"):
         raise RangeError(f"unknown mode {mode!r}")
+    if not 0 < epsilon <= 0.5:
+        raise RangeError(f"epsilon must be in (0, 1/2], got {epsilon}")
     q, n = bb.field.q, bb.n
     use_exact = mode == "exact" or (
         mode == "auto"

@@ -1,9 +1,10 @@
 """The product trap fixture: one integer polynomial, opposite verdicts."""
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
-from .polynomials import SparsePolynomial, _monomials
+from .polynomials import SparsePolynomial, _collect, _monomials, _product
 from .rng import RandomStream
 
 TRAP_VARS = 4
@@ -11,30 +12,6 @@ TRAP_FACTOR_DEGREE = 5
 TRAP_COFACTOR_DEGREE = 10
 TRAP_SPREAD = 7
 _COEFF_LO, _COEFF_HI = -9, 9
-
-
-def _int_poly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _int_poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
 
 
 def _random_int_poly(nvars, degree, stream):
@@ -93,7 +70,6 @@ def make_product_trap_fixture(seed: int) -> ProductTrapFixture:
     f1 = _random_int_poly(TRAP_VARS, TRAP_FACTOR_DEGREE, stream)
     f2 = _random_int_poly(TRAP_VARS, TRAP_FACTOR_DEGREE, stream)
     f3 = _random_int_poly(TRAP_VARS, TRAP_COFACTOR_DEGREE, stream)
-    f = _int_poly_add(
-        _int_poly_mul(f1, f2), {e: TRAP_SPREAD * c for e, c in f3.items()}
-    )
+    f1f2 = _product(f1, f2, operator.add, operator.mul).items()
+    f = _collect([*f1f2, *((e, TRAP_SPREAD * c) for e, c in f3.items())], operator.add)
     return ProductTrapFixture(seed=seed, f1=f1, f2=f2, f3=f3, f=f)

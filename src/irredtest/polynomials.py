@@ -21,6 +21,8 @@ would pass that.
 
 import functools
 import itertools
+import operator
+from math import comb
 
 from .errors import (
     ArityMismatch,
@@ -55,10 +57,33 @@ def monomials_up_to(n: int, d: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _monomials(n: int, d: int):
-    """monomials_up_to(n, d) as one shared tuple, so that dense
-    polynomials of the same shape share their exponent-tuple keys."""
+def _shared_monomials(n, d):
     return tuple(monomials_up_to(n, d))
+
+
+def _monomials(n: int, d: int):
+    """monomials_up_to(n, d) as one tuple, shared by the dense polynomials
+    of its shape while it holds at most 2^16 exponent entries (n times the
+    monomials), so the cache of 8 shapes pins at most 8 x 2^16 entries."""
+    if n * comb(n + d, d) > 1 << 16:
+        return tuple(monomials_up_to(n, d))
+    return _shared_monomials(n, d)
+
+
+def _collect(pairs, add):
+    """Term map of (exponents, coefficient) pairs, over a field or the
+    integers: coefficients that meet are combined by `add`, zero sums drop."""
+    out = {}
+    for exps, c in pairs:
+        out[exps] = add(out[exps], c) if exps in out else c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def _product(a, b, add, mul):
+    """Term map of the product of the term maps a and b."""
+    pairs = ((tuple(map(operator.add, ea, eb)), mul(ca, cb))
+             for ea, ca in a.items() for eb, cb in b.items())
+    return _collect(pairs, add)
 
 
 class SparsePolynomial:
@@ -118,11 +143,8 @@ class SparsePolynomial:
 
     def __add__(self, other):
         self._check(other)
-        field = self.field
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = field.add(out[exps], c) if exps in out else c
-        return SparsePolynomial(field, self.n, out)
+        pairs = itertools.chain(self.terms.items(), other.terms.items())
+        return SparsePolynomial(self.field, self.n, _collect(pairs, self.field.add))
 
     def __neg__(self):
         field = self.field
@@ -136,13 +158,8 @@ class SparsePolynomial:
     def __mul__(self, other):
         self._check(other)
         field = self.field
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                c = field.mul(ca, cb)
-                out[exps] = field.add(out[exps], c) if exps in out else c
-        return SparsePolynomial(field, self.n, out)
+        terms = _product(self.terms, other.terms, field.add, field.mul)
+        return SparsePolynomial(field, self.n, terms)
 
     def __eq__(self, other):
         return (
@@ -192,13 +209,9 @@ def _reduced_terms(f: SparsePolynomial):
     x^q = x at every point of F_q, so the values are unchanged and no
     exponent exceeds q - 1.  Terms that meet are merged, zero sums dropped.
     """
-    field = f.field
-    m = field.q - 1
-    out = {}
-    for exps, c in f.terms.items():
-        key = tuple(1 + (e - 1) % m if e else 0 for e in exps)
-        out[key] = field.add(out[key], c) if key in out else c
-    return {exps: c for exps, c in out.items() if c}
+    m = f.field.q - 1
+    keys = (tuple(1 + (e - 1) % m if e else 0 for e in exps) for exps in f.terms)
+    return _collect(zip(keys, f.terms.values()), f.field.add)
 
 
 # Binary operations a register's pending expression may reach before it is
@@ -505,24 +518,22 @@ class _Parser:
             )
 
     def parse_expr(self):
-        """Sum of terms, gathered in one dict so that each term costs its
-        own size and not the size of the sum so far."""
-        field = self.field
-        out = {}
+        """Term map of a sum of terms, merged once at its end so that each
+        term costs its own size and not the size of the sum so far."""
+        neg = self.field.neg
+        pairs = []
         op = self.take()[0] if self.peek()[0] in "+-" else "+"
         while True:
-            for exps, c in self.parse_term().terms.items():
-                if op == "-":
-                    c = field.neg(c)
-                out[exps] = field.add(out[exps], c) if exps in out else c
+            terms = self.parse_term().items()
+            pairs.extend(terms if op == "+" else ((e, neg(c)) for e, c in terms))
             if self.peek()[0] not in "+-":
-                return SparsePolynomial(field, self.n, out)
+                return _collect(pairs, self.field.add)
             op = self.take()[0]
 
     def parse_term(self):
         """Product of factors.  Integer, braced and x_i^e factors gather into
         one coefficient and one exponent list; only a parenthesised factor
-        multiplies polynomials."""
+        multiplies term maps."""
         field, n = self.field, self.n
         self.charge(1, self.peek()[2])
         coeff, exps, groups = field.one, [0] * n, []
@@ -557,10 +568,10 @@ class _Parser:
             if self.peek()[0] != "*":
                 break
             self.take()
-        term = SparsePolynomial(field, n, {tuple(exps): coeff})
+        term = {tuple(exps): coeff} if coeff else {}
         for g in groups:
-            self.charge(len(term.terms) * len(g.terms), pos)
-            term = term * g
+            self.charge(len(term) * len(g), pos)
+            term = _product(term, g, field.add, field.mul)
         return term
 
     def parse_braced(self):
@@ -581,8 +592,8 @@ def parse_poly(text: str, field: Field, n: int) -> SparsePolynomial:
     if n < 0:
         raise ArityMismatch(f"variable count must be >= 0, got {n}")
     parser = _Parser(_tokenize(text), field, n)
-    poly = parser.parse_expr()
+    terms = parser.parse_expr()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise PolySyntaxError(f"unexpected {kind!r} after expression", pos)
-    return poly
+    return SparsePolynomial(field, n, terms)

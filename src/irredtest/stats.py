@@ -210,7 +210,7 @@ def inverse_tail_quantile(epsilon: float) -> float:
     for 0 < epsilon <= 1/2."""
     if not 0 < epsilon <= 0.5:
         raise RangeError(f"tail mass must be in (0, 1/2], got {epsilon}")
-    return -NormalDist().inv_cdf(epsilon)
+    return 0.0 - NormalDist().inv_cdf(epsilon)  # 0.0, not -0.0, at 1/2
 
 
 def wald_interval(k: int, n_samples: int, epsilon: float) -> ConfidenceInterval:

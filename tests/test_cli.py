@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import irredtest
 from irredtest.cli import main
 
 MATRIX_2X2 = "2 2 4 2\nx1\nx2\nx3\nx4\n"
@@ -235,6 +240,44 @@ def test_run_extension_field_counts_are_pinned(capsys, argv, want):
     payload = json.loads(out)
     assert (payload["N"], payload["k"], payload.get("outcome")) == want
     assert code == (3 if want[2] else 0)
+
+
+def test_run_epsilon_out_of_range(capsys):
+    # the exact path checks epsilon as the sampled and planned paths do
+    for extra in (["--exact"], ["-N", "10"], []):
+        code, _, err = run_cli(
+            capsys, "run", "--poly", "x1+1", "-q", "7", "-n", "3", *extra, "-e", "5"
+        )
+        assert code == 1 and err.startswith("error:") and "epsilon" in err
+    code, out, _ = run_cli(
+        capsys, "run", "--poly", "x1+1", "-q", "7", "-n", "3", "-N", "10", "-e", "0.5"
+    )
+    assert code == 0 and '"half_width": 0.0,' in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # to stdout (unbuffered) or its flush (buffered) meets a broken pipe
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(irredtest.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "irredtest.cli", "dist", "--kind", "single",
+             "-q", "2", "-n", "6"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+def test_matrix_file_errors_are_reported(capsys):
+    code, _, err = run_cli(capsys, "run", "--matrix", "/nonexistent/m.txt")
+    assert code == 1 and err.startswith("error:")
 
 
 def test_run_source_validation(capsys):

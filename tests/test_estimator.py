@@ -167,6 +167,18 @@ def test_estimate_mode_validation():
         estimate_gamma(bb, 0, seed=0, mode="sample")
 
 
+def test_estimate_epsilon_validation():
+    # a 4-point domain: auto with 10 draws and "exact" both count exactly
+    bb = from_poly(parse_poly("x1 + x2", F2, 2))
+    for mode, n_samples in (("exact", 0), ("auto", 10), ("sample", 10)):
+        for epsilon in (5, 0.0, -0.1, 0.51, float("nan")):
+            with pytest.raises(RangeError, match="epsilon"):
+                estimate_gamma(bb, n_samples, seed=0, epsilon=epsilon, mode=mode)
+        rep = estimate_gamma(bb, n_samples, seed=0, epsilon=0.5, mode=mode)
+        assert rep.interval.level == 0.0
+        assert math.copysign(1.0, rep.interval.half_width) == 1.0
+
+
 def test_estimate_agrees_with_exact_gamma():
     stream = RandomStream(40, stream=0)
     poly = random_dense_poly(F7, 3, 2, stream)
@@ -299,6 +311,17 @@ def test_trap_fixture_structure():
     assert hashlib.sha256(repr(traps).encode()).hexdigest() == (
         "de812867e2dacb1174ec6481bb57377c472dcc983f2ecd515555b9d447e9a849"
     )
+    # f = f1*f2 + 7*f3 over the integers, each side evaluated term by term
+    def value(terms, point):
+        return sum(c * math.prod(x**e for x, e in zip(point, exps))
+                   for exps, c in terms.items())
+
+    for seed in range(6):
+        fx = make_product_trap_fixture(seed)
+        for point in ((0, 0, 0, 0), (1, -1, 2, 3), (5, 2, -7, 1), (-3, 4, 6, -2)):
+            assert value(fx.f, point) == (
+                value(fx.f1, point) * value(fx.f2, point) + 7 * value(fx.f3, point)
+            )
 
 
 def test_trap_collapses_to_product_mod_7():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from irredtest import (
     total_degree,
 )
 from irredtest.fields import DEFAULT_MODULI
-from irredtest.polynomials import _MAX_ENTRIES
+from irredtest.polynomials import _MAX_ENTRIES, _monomials
 
 from conftest import all_points, naive_eval
 
@@ -48,6 +49,8 @@ def test_parse_basic_examples():
     f = parse_poly("x1*x2^2*3*(x2 + 1)*x1^3*4*x2", F7, 2)
     assert f.terms == {(4, 4): 5, (4, 3): 5}
     assert parse_poly("- x1 - 2*x1*x1 + (x1*x1)", F7, 1).terms == {(1,): 6, (2,): 6}
+    assert parse_poly("0*x1*(x2 + 1) + x3", F7, 3).terms == {(0, 0, 1): 1}
+    assert parse_poly("(x1 - x1)*(x2 + 1)", F7, 2).is_zero()
 
 
 def test_parse_whitespace_insensitive():
@@ -359,19 +362,20 @@ def test_prime_coordinates_must_be_ints():
 
 
 def test_arithmetic_identities():
-    stream = RandomStream(13, stream=0)
-    f = random_dense_poly(F3, 2, 3, stream)
-    g = random_dense_poly(F3, 2, 3, stream)
-    zero = SparsePolynomial.zero(F3, 2)
-    one = SparsePolynomial.constant(F3, 2, F3.one)
-    assert f + zero == f
-    assert f * one == f
-    assert f - f == zero
-    assert (f + g) == (g + f)
-    for pt in all_points(F3, 2):
-        assert (f + g).evaluate(pt) == F3.add(f.evaluate(pt), g.evaluate(pt))
-        assert (f * g).evaluate(pt) == F3.mul(f.evaluate(pt), g.evaluate(pt))
-        assert (-f).evaluate(pt) == F3.neg(f.evaluate(pt))
+    for field in (F3, GF(3, 2)):
+        stream = RandomStream(13, stream=0)
+        f = random_dense_poly(field, 2, 3, stream)
+        g = random_dense_poly(field, 2, 3, stream)
+        zero = SparsePolynomial.zero(field, 2)
+        one = SparsePolynomial.constant(field, 2, field.one)
+        assert f + zero == f
+        assert f * one == f
+        assert f - f == zero
+        assert (f + g) == (g + f)
+        for pt in all_points(field, 2):
+            assert (f + g).evaluate(pt) == field.add(f.evaluate(pt), g.evaluate(pt))
+            assert (f * g).evaluate(pt) == field.mul(f.evaluate(pt), g.evaluate(pt))
+            assert (-f).evaluate(pt) == field.neg(f.evaluate(pt))
 
 
 def test_freshman_dream_in_char_2():
@@ -441,6 +445,24 @@ def test_random_dense_poly_in_many_variables():
     stream = RandomStream(2, stream=0)
     for pt in ((1,) * 1200, tuple(stream.next_below(2) for _ in range(1200))):
         assert f.evaluate(pt) == naive_eval(f, pt)
+
+
+def test_large_monomial_walks_are_not_kept():
+    # 1,202 monomials in 1,201 variables pass 2^16 exponent entries, so the
+    # walk is freed with its polynomial; no other test builds this shape,
+    # so a walk kept from an earlier test cannot hide here
+    stream = RandomStream(1)
+    tracemalloc.start()
+    try:
+        f = random_dense_poly(F2, 1201, 1, stream)
+        del f
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    # the trap and sextic shapes stay shared
+    for n, d in ((4, 5), (4, 6), (4, 10)):
+        assert _monomials(n, d) is _monomials(n, d)
 
 
 def test_random_dense_poly_shape_and_determinism():
