@@ -22,7 +22,7 @@ from .blackbox import (
     singular_curve_bb,
     ternary_monomials,
 )
-from .errors import Error, InfeasibleOrder, OrderOverflow, TooLarge
+from .errors import Error, OrderOverflow, TooLarge
 from .estimator import (
     INFEASIBLE,
     LIKELY_REDUCIBLE,
@@ -165,6 +165,13 @@ def _run_oracle(args):
     sources = [s for s in (args.poly, args.matrix, args.fixture) if s]
     if len(sources) != 1:
         raise _UsageError("exactly one of --poly, --matrix, --fixture is required")
+    # a flag that this oracle would ignore is refused, not dropped
+    if args.matrix and (args.q is not None or args.field):
+        raise _UsageError("--matrix takes its field from the file, not from -q or --field")
+    if args.n is not None and not args.poly:
+        raise _UsageError("-n applies to --poly only")
+    if args.ext_bound is not None and args.fixture != "singular":
+        raise _UsageError("--ext-bound applies to --fixture singular only")
     if args.matrix:
         return det_rank_bb(load_poly_matrix(args.matrix))
     field = _run_field(args)
@@ -177,10 +184,7 @@ def _run_oracle(args):
         return from_poly(fixture.reduce_mod(field), label=f"trap(seed={args.fixture_seed})")
     if args.fixture == "curve":
         return det_rank_bb(curve_determinantal_matrix(field))
-    kwargs = {}
-    if args.ext_bound is not None:
-        kwargs["ext_bound"] = args.ext_bound
-    return singular_curve_bb(args.degree, field, **kwargs)
+    return singular_curve_bb(args.degree, field, ext_bound=args.ext_bound)
 
 
 def _report_json(bb, seed, report, verdict=None) -> str:
@@ -211,6 +215,8 @@ def _report_json(bb, seed, report, verdict=None) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.exact and args.samples is not None:
+        raise _UsageError("-N applies to sampled runs, not to --exact")
     bb = _run_oracle(args)
     if args.exact:
         report = estimate_gamma(
@@ -319,9 +325,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleOrder as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
     except (Error, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -469,16 +469,16 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < L and text[j].isdigit():
+            while j < L and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
             continue
         if ch == "x":
             j = i + 1
-            while j < L and text[j].isdigit():
+            while j < L and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise PolySyntaxError("variable needs a numeric index", i)

@@ -136,21 +136,8 @@ class RandomStream:
         self._block = block + lanes
         self._lanes = min(2 * lanes, BATCH)
         # lane j counts block + j, wrapping mod 2^64 like a one-lane block
-        ones = _lane_ones(lanes)
-        m = 0xFFFFFFFF * ones
         counters = _pack([(block + j) & 0xFFFFFFFFFFFFFFFF for j in range(lanes)])
-        words = _lane_words(
-            philox4x32(
-                (seed & 0xFFFFFFFF) * ones,
-                (seed >> 32) * ones,
-                counters & m,
-                counters >> 32 & m,
-                (stream & 0xFFFFFFFF) * ones,
-                (stream >> 32) * ones,
-                lanes,
-            ),
-            lanes,
-        )
+        words = _blocks(seed, counters, stream * _lane_ones(lanes), lanes)
         words.reverse()  # blocks in order, w0 to w3 each; pop() takes the first w0 first
         self._words = words
 
@@ -188,27 +175,38 @@ def _pack(words):
     return int.from_bytes(array("Q", words), sys.byteorder)
 
 
-def _lane_words(packed, lanes):
-    """The words of `lanes`-lane packed ints, lane by lane.
+def _blocks(seed, blocks, streams, lanes):
+    """The words of `lanes` blocks of `seed`, lane by lane, w0 to w3 each.
 
-    Lane 0's words come first, in the order of `packed`, then lane 1's,
-    and so on.
+    Lane j is block (lane j of `blocks`) of stream (lane j of `streams`),
+    both packed as 64-bit lanes, computed in one lane-packed philox4x32
+    call.
     """
-    size, rows = 8 * lanes, len(packed)
-    table = b"".join([w.to_bytes(size, sys.byteorder) for w in packed])
-    table = memoryview(table).cast("Q").tolist()
-    words = [0] * (rows * lanes)
-    for r in range(rows):
-        words[r::rows] = table[r * lanes : (r + 1) * lanes]
+    ones = _lane_ones(lanes)
+    m = 0xFFFFFFFF * ones
+    out = philox4x32(
+        (seed & 0xFFFFFFFF) * ones,
+        (seed >> 32) * ones,
+        blocks & m,
+        blocks >> 32 & m,
+        streams & m,
+        streams >> 32 & m,
+        lanes,
+    )
+    table = memoryview(b"".join([w.to_bytes(8 * lanes, sys.byteorder) for w in out]))
+    table = table.cast("Q").tolist()
+    words = [0] * (4 * lanes)
+    for r in range(4):
+        words[r::4] = table[r * lanes : (r + 1) * lanes]
     return words
 
 
 def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
     """RandomStream(seed, i) for i = lo..hi-1, each holding its first blocks.
 
-    For each batch of consecutive streams, block b of every stream in it
-    comes from one lane-packed philox4x32 call, for b < blocks (at least
-    one block).  A stream holds those words and goes on from block
+    For each batch of consecutive streams, blocks 0 to blocks - 1 (at least
+    one) of every stream in it come from one _blocks call, stream by stream
+    and block by block.  A stream holds those words and goes on from block
     `blocks`, so every draw it makes, rejections included, is the draw a
     fresh stream would make.  It refills only for rejected words, so its
     first two refills take one block each, as a rejection mostly needs.
@@ -219,18 +217,16 @@ def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
     step = max(1, min(BATCH, _BATCH_BLOCKS // blocks))
     for start in range(lo, hi, step):
         index = range(start, min(start + step, hi))
-        lanes = len(index)
-        ones = _lane_ones(lanes)
-        key0, key1 = (seed & 0xFFFFFFFF) * ones, (seed >> 32) * ones
-        c2 = _pack([i & 0xFFFFFFFF for i in index])
-        c3 = _pack([i >> 32 & 0xFFFFFFFF for i in index])
-        # last block first, w3 before w0: a stream pops w0 of block 0 first
-        out = []
-        for block in reversed(range(blocks)):
-            out += reversed(philox4x32(key0, key1, block * ones, 0, c2, c3, lanes))
-        words = _lane_words(out, lanes)
-        size = len(out)
-        for i, at in zip(index, range(0, len(words), size)):
+        lanes = len(index) * blocks
+        # lane (i, b), the b-th of stream i's lanes, is block b of stream i
+        ids = array("Q", [i & 0xFFFFFFFFFFFFFFFF for i in index])
+        streams = array("Q", bytes(8 * lanes))
+        for b in range(blocks):
+            streams[b::blocks] = ids
+        words = _blocks(seed, _pack(list(range(blocks)) * len(index)), _pack(streams), lanes)
+        words.reverse()  # the last stream first; each pops w0 of its block 0 first
+        size = 4 * blocks
+        for i, at in zip(index, range(len(words) - size, -1, -size)):
             # every field is set here, once: a batch builds a stream per point
             stream = new(RandomStream)
             stream.seed = seed

@@ -140,6 +140,7 @@ def test_matrix_rank_against_minor_rank():
             [F5.random_element(stream) for _ in range(cols)] for _ in range(rows)
         ]
         assert matrix_rank(F5, m) == naive_rank(F5, m)
+    assert matrix_rank(GF(7), []) == 0
 
 
 def test_det_rank_bb_singleton_matches_poly_oracle():

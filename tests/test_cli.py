@@ -280,7 +280,7 @@ def test_matrix_file_errors_are_reported(capsys):
     assert code == 1 and err.startswith("error:")
 
 
-def test_run_source_validation(capsys):
+def test_run_source_validation(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--poly", "x1", "-q", "3")
     assert code == 1 and "-n" in err
     code, _, _ = run_cli(capsys, "run", "-q", "3")
@@ -301,6 +301,26 @@ def test_run_source_validation(capsys):
         capsys, "run", "--poly", "x9", "-q", "3", "-n", "2", "-N", "10"
     )
     assert code == 1 and "x9" in err
+    code, _, err = run_cli(capsys, "run", "--poly", "x1", "-q", "7", "--field", "7", "-n", "1")
+    assert code == 1 and "either -q or --field" in err
+    # a flag that the chosen oracle or mode would ignore is a usage error
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 4 7\nx1\nx2\nx3\nx4\n")
+    ignored = [
+        ("--matrix", str(path), "-q", "11", "-N", "5"),
+        ("--matrix", str(path), "--field", "11", "-N", "5"),
+        ("--matrix", str(path), "-n", "4", "-N", "5"),
+        ("--fixture", "trap", "-q", "7", "-n", "9", "-N", "5"),
+        ("--fixture", "singular", "-q", "2", "-n", "10", "-N", "5"),
+        ("--poly", "x1", "-q", "7", "-n", "1", "--ext-bound", "2", "-N", "5"),
+        ("--fixture", "curve", "-q", "2", "--ext-bound", "2", "--exact"),
+        ("--poly", "x1", "-q", "7", "-n", "1", "-N", "5", "--exact"),
+    ]
+    for argv in ignored:
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert (code, out) == (1, "") and err.startswith("error: "), argv
+    code, out, _ = run_cli(capsys, "run", "--matrix", str(path), "-N", "5")
+    assert code == 0 and json.loads(out)["q"] == 7
 
 
 def test_dist_single_small(capsys):

@@ -91,6 +91,7 @@ def test_inverse_by_brute_force_f7():
     matches = [b for b in f.elements() if f.mul(3, b) == 1]
     assert matches == [5]
     assert f.inv(3) == 5
+    assert f.pow(3, -1) == 5 and f.pow(3, -2) == 4
 
 
 def test_f16_structure():
@@ -116,6 +117,8 @@ def test_make_field_rejects_composite_characteristic():
     for p in (1, 4, 6, 9, 15):
         with pytest.raises(NonPrimeCharacteristic):
             make_field(FieldSpec(p))
+    with pytest.raises(NonPrimeCharacteristic):
+        GF(4, 2)
 
 
 def test_make_field_rejects_reducible_modulus():
@@ -363,6 +366,9 @@ def test_fields_compare_by_spec():
     assert GF(5) == GF(5)
     assert GF(5) != GF(7)
     assert GF(2, 2) == make_field("2^2:1,1,1")
+    # a modulus coefficient is reduced mod p: 8 is 1 over F_7
+    assert make_field("7^2:8,0,1") == GF(7, 2)
+    assert make_field("7^2:8,0,1").spec.modulus == (1, 0, 1)
 
 
 def test_random_element_determinism_and_range():

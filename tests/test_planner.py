@@ -71,6 +71,8 @@ def test_p_middle_between_and_near_geometric():
 
 def test_required_N_floor_and_errors():
     assert required_N(0.0001, 0.9999, 0.4) == 1
+    # the raw value is 9.000000000000004; within 1e-9 of an integer it snaps
+    assert required_N(0.1, 0.5, 0.005, s=1.5) == 9
     with pytest.raises(InfeasibleOrder):
         required_N(0.5, 0.4, 0.005)
     with pytest.raises(RangeError):

@@ -132,6 +132,15 @@ def test_parse_error_positions():
     with pytest.raises(PolySyntaxError) as info:
         parse_poly("x1 + y", F7, 1)
     assert info.value.position == 5
+    # ASCII digits only: int() would refuse or reread other digit characters
+    for text, at, message in (
+        ("x1^\u00b2", 3, "unexpected character"),
+        ("x\u00b2", 0, "numeric index"),
+        ("\u0663*x1", 0, "unexpected character"),
+    ):
+        with pytest.raises(PolySyntaxError, match=message) as info:
+            parse_poly(text, F7, 1)
+        assert info.value.position == at
 
 
 def test_unknown_variable():
@@ -312,6 +321,8 @@ def test_evaluate_examples():
     assert f.evaluate((0, 1)) == 1
     assert SparsePolynomial.zero(F7, 2).evaluate((3, 4)) == 0
     assert SparsePolynomial.constant(F7, 0, 5).evaluate(()) == 5
+    x2 = SparsePolynomial.variable(F7, 3, 2)
+    assert x2 == parse_poly("x2", F7, 3) and x2.evaluate((3, 4, 5)) == 4
     with pytest.raises(ArityMismatch):
         f.evaluate((1,))
     # the evaluator kept by the first call stays out of the pickle

@@ -230,8 +230,8 @@ def test_word_order_matches_raw_blocks(seed, stream):
 
 def test_batches_hold_a_bounded_number_of_blocks(monkeypatch):
     # up to rng.BATCH streams a batch, fewer when their blocks would pass
-    # rng._BATCH_BLOCKS; the kernel is looked up at call time, so the spy
-    # sees every call
+    # rng._BATCH_BLOCKS; a batch is one call with a lane per (stream, block),
+    # and the kernel is looked up at call time, so the spy sees every call
     seen = []
     kernel = rng.philox4x32
 
@@ -241,12 +241,28 @@ def test_batches_hold_a_bounded_number_of_blocks(monkeypatch):
 
     monkeypatch.setattr(rng, "philox4x32", spy)
     cap = rng._BATCH_BLOCKS
-    cases = ((1, 600, rng.BATCH), (3, 600, rng.BATCH), (cap // 16, 40, 16), (cap + 1, 2, 1))
-    for blocks, count, lanes in cases:
+    cases = ((1, 600, 256, 3), (3, 600, 768, 3), (cap // 16, 40, cap, 3), (cap + 1, 2, cap + 1, 2))
+    for blocks, count, lanes, calls in cases:
         seen.clear()
         assert len(list(rng.prefilled_streams(1, 0, count, blocks))) == count
-        assert max(seen) == lanes
-        assert len(seen) == blocks * -(-count // lanes)
+        assert max(seen) == lanes <= max(cap, blocks)
+        assert all(n % blocks == 0 for n in seen)
+        assert len(seen) == calls
+
+
+def test_blocks_match_one_block_per_lane():
+    # lane j is block (lane j of blocks) of stream (lane j of streams); the
+    # stream ids pass 2^32 and the block numbers wrap past 2^64
+    seed = 2**63 + 12345
+    cases = [(s, b % 2**64) for s in (2**40 + 3, 7) for b in (2**64 - 2, 2**64 - 1, 2**64)]
+    blocks, streams = _pack([b for _, b in cases]), _pack([s for s, _ in cases])
+    words = rng._blocks(seed, blocks, streams, len(cases))
+    want = []
+    for s, b in cases:
+        want += naive_philox(
+            seed & 0xFFFFFFFF, seed >> 32, b & 0xFFFFFFFF, b >> 32, s & 0xFFFFFFFF, s >> 32
+        )
+    assert words == want
 
 
 class _OneBlockStream:
