@@ -181,9 +181,9 @@ def matrix_rank(field: Field, rows) -> int:
         for r in range(rank + 1, nrows):
             factor = m[r][col]
             if factor != zero:
-                mr = m[r]
+                factor, mr = field.neg(factor), m[r]
                 for j in range(col, ncols):
-                    mr[j] = field.sub(mr[j], field.mul(factor, prow[j]))
+                    mr[j] = field.add(mr[j], field.mul(factor, prow[j]))
         rank += 1
     return rank
 

@@ -104,14 +104,14 @@ def _build_parser():
     p_run.add_argument("--poly", help="polynomial text over x1..xn")
     p_run.add_argument("--matrix", help="matrix file; oracle is the rank-drop locus")
     p_run.add_argument("--fixture", choices=("trap", "curve", "singular"))
-    p_run.add_argument("--fixture-seed", type=_seed, default=0)
-    p_run.add_argument("-d", "--degree", type=int, default=3, help="form degree (fixture singular)")
+    p_run.add_argument("--fixture-seed", type=_seed, help="fixture seed (fixture trap; default 0)")
+    p_run.add_argument("-d", "--degree", type=int, help="form degree (fixture singular; default 3)")
     p_run.add_argument("--ext-bound", type=int, help="extension search bound (fixture singular)")
     p_run.add_argument("-N", "--samples", type=int, help="estimate only, with this many draws")
     p_run.add_argument("--exact", action="store_true", help="exhaustive count instead of sampling")
     p_run.add_argument("--seed", type=_seed, default=0)
 
-    p_dist = sub.add_parser("dist", parents=[common], help="zero-count distributions")
+    p_dist = sub.add_parser("dist", help="zero-count distributions")
     p_dist.add_argument("--kind", required=True,
                         choices=("single", "product", "intersection", "substitution", "det"))
     p_dist.add_argument("-q", type=int, required=True)
@@ -172,6 +172,10 @@ def _run_oracle(args):
         raise _UsageError("-n applies to --poly only")
     if args.ext_bound is not None and args.fixture != "singular":
         raise _UsageError("--ext-bound applies to --fixture singular only")
+    if args.degree is not None and args.fixture != "singular":
+        raise _UsageError("-d applies to --fixture singular only")
+    if args.fixture_seed is not None and args.fixture != "trap":
+        raise _UsageError("--fixture-seed applies to --fixture trap only")
     if args.matrix:
         return det_rank_bb(load_poly_matrix(args.matrix))
     field = _run_field(args)
@@ -180,11 +184,13 @@ def _run_oracle(args):
             raise _UsageError("--poly needs -n (number of variables)")
         return from_poly(parse_poly(args.poly, field, args.n), label="cli poly")
     if args.fixture == "trap":
-        fixture = make_product_trap_fixture(args.fixture_seed)
-        return from_poly(fixture.reduce_mod(field), label=f"trap(seed={args.fixture_seed})")
+        seed = 0 if args.fixture_seed is None else args.fixture_seed
+        fixture = make_product_trap_fixture(seed)
+        return from_poly(fixture.reduce_mod(field), label=f"trap(seed={seed})")
     if args.fixture == "curve":
         return det_rank_bb(curve_determinantal_matrix(field))
-    return singular_curve_bb(args.degree, field, ext_bound=args.ext_bound)
+    degree = 3 if args.degree is None else args.degree
+    return singular_curve_bb(degree, field, ext_bound=args.ext_bound)
 
 
 def _report_json(bb, seed, report, verdict=None) -> str:
@@ -217,6 +223,8 @@ def _report_json(bb, seed, report, verdict=None) -> str:
 def cmd_run(args) -> int:
     if args.exact and args.samples is not None:
         raise _UsageError("-N applies to sampled runs, not to --exact")
+    if args.compat_s258 and (args.exact or args.samples is not None):
+        raise _UsageError("--compat-s258 applies to planned runs, not to -N or --exact")
     bb = _run_oracle(args)
     if args.exact:
         report = estimate_gamma(

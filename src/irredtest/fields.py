@@ -286,8 +286,9 @@ DEFAULT_MODULI = {
 
 
 class Field:
-    """Shared interface; concrete arithmetic lives in the subclasses.  Operands
-    must be elements, ints in [0, q): the table lookups do not check them, and
+    """Shared interface and the derived operations from_int, sub and pow;
+    add, neg, mul and inv live in the subclasses.  Operands must be
+    elements, ints in [0, q): the table lookups do not check them, and
     SparsePolynomial's constructor is the checked boundary."""
 
     __slots__ = ("spec", "p", "k", "q", "zero", "one")
@@ -307,6 +308,13 @@ class Field:
 
     def random_element(self, stream):
         return stream.next_below(self.q)
+
+    def from_int(self, c: int):
+        """The image of the integer c: c % p times one (one is 1 in F_p)."""
+        return c % self.p * self.one
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -339,9 +347,6 @@ class PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -357,9 +362,6 @@ class PrimeField(Field):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    def from_int(self, c: int):
-        return c % self.p
 
     def from_coords(self, coords):
         """The element written {c} in braced text."""
@@ -410,8 +412,9 @@ class ExtensionField(Field):
         _log sends g^i to i and zero to 2n.  _exp lists g^0..g^(n-1) twice,
         then 2n + 1 zeros, so it is indexed by la + lb and by la + _half
         for any two logs, zero's included; _half is the log of -1.  _zech[i]
-        is the log of 1 + g^i, or None where that is zero, listed twice so
-        that it is indexed by lb - la for lb up to n + _half.
+        is the log of 1 + g^i, or None where that is zero, for the n logs
+        i; add indexes it by lb - la, and a negative difference wraps
+        through Python's list indexing, since g^(i - n) is g^i.
         """
         if self._log is None:
             self._log = [] if self.q > TABLE_CAP else self._build_tables()
@@ -437,7 +440,7 @@ class ExtensionField(Field):
         if None in log[1:] or _ring_mul(powers[-1], g, p, reduction) != unit:
             raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{p}")
         # 1 + v adds one to the top base-p digit of v
-        self._zech = [log[(v + one) % q] for v in exp] * 2
+        self._zech = [log[(v + one) % q] for v in exp]
         log[0] = 2 * n
         self._exp = exp * 2 + [0] * (2 * n + 1)
         self._half = n // 2 if p > 2 else 0
@@ -457,21 +460,6 @@ class ExtensionField(Field):
         p = self.p  # (a // t) % p is a's coordinate at place t
         return sum([(a // t + b // t) % p * t for t in self._places])
 
-    def sub(self, a, b):
-        log = self._log or self._tables()
-        if log:
-            lb = log[b]
-            if lb >= self.q:
-                return a
-            lb += self._half  # the log of -b; the rest is add's
-            la = log[a]
-            if la >= self.q:
-                return self._exp[lb]
-            z = self._zech[lb - la]
-            return self.zero if z is None else self._exp[la + z]
-        p = self.p
-        return sum([(a // t - b // t) % p * t for t in self._places])
-
     def neg(self, a):
         log = self._log or self._tables()
         if log:
@@ -486,12 +474,9 @@ class ExtensionField(Field):
         return self._element(_ring_mul(self._coords(a), self._coords(b), self.p, self._reduction))
 
     def inv(self, a):
-        log = self._log or self._tables()
-        if log:
-            la = log[a]
-            if la < self.q:
-                return self._exp[self.q - 1 - la]
-        elif a:
+        if self._log or self._tables():
+            return self.pow(a, -1)
+        if a:
             return self._element(_poly_gcdex(self.modulus, self._coords(a), self.p)[1])
         raise DivisionByZero(f"0 has no inverse in F_{self.p}^{self.k}")
 
@@ -505,9 +490,6 @@ class ExtensionField(Field):
         if e < 0:
             raise DivisionByZero(f"0 has no inverse in F_{self.p}^{self.k}")
         return self.zero if e else self.one
-
-    def from_int(self, c: int):
-        return c % self.p * self.one
 
     def from_coords(self, coords):
         """The element written {c0,c1,...} in braced text, zero-padded."""

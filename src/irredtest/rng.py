@@ -24,7 +24,7 @@ _SCHEDULES_MAX = 64
 # in thousands of variables takes fewer streams per batch, not more memory.
 # A stream's own refill computes at most BATCH consecutive blocks at once.
 BATCH = 256
-_BATCH_BLOCKS = 16384
+_BATCH_BLOCKS = 4096
 
 
 def _lane_ones(lanes):

@@ -141,6 +141,19 @@ def test_matrix_rank_against_minor_rank():
         ]
         assert matrix_rank(F5, m) == naive_rank(F5, m)
     assert matrix_rank(GF(7), []) == 0
+    # over table-backed GF(8) and GF(9) and schoolbook GF(7^4); a last row
+    # in the span of the others keeps the rank below full
+    for field in (GF(2, 3), GF(3, 2), GF(7, 4)):
+        for _ in range(30):
+            rows = 1 + stream.next_below(3)
+            cols = rows + stream.next_below(2)
+            m = [
+                [field.random_element(stream) for _ in range(cols)] for _ in range(rows)
+            ]
+            c = field.random_element(stream)
+            dependent = m + [[field.add(field.mul(c, x), y) for x, y in zip(m[0], m[-1])]]
+            for matrix in (m, dependent):
+                assert matrix_rank(field, matrix) == naive_rank(field, matrix)
 
 
 def test_det_rank_bb_singleton_matches_poly_oracle():

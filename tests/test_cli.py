@@ -120,6 +120,20 @@ def test_run_matrix_exact(capsys, tmp_path):
     assert payload["half_width"] == 0.0
 
 
+def test_run_matrix_over_extension_fields(capsys, tmp_path):
+    # rank probes over table-backed GF(9) and schoolbook GF(7^4)
+    cases = [
+        ("2 2 4 3^2:1,0,1\nx1\nx2 + {0,1}\nx3\nx4\n", ("--exact",), (6561, 801)),
+        ("2 2 4 7^4:1,1,0,0,1\nx1\nx2\nx3\nx4\n", ("-N", "3000", "--seed", "1"), (3000, 2)),
+    ]
+    for text, args, want in cases:
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "run", "--matrix", str(path), *args)
+        payload = json.loads(out)
+        assert code == 0 and (payload["N"], payload["k"]) == want, text
+
+
 def test_run_test_verdict_and_exit_codes(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--poly", "x1*x2 + x3", "-q", "11", "-n", "3",
@@ -315,10 +329,19 @@ def test_run_source_validation(capsys, tmp_path):
         ("--poly", "x1", "-q", "7", "-n", "1", "--ext-bound", "2", "-N", "5"),
         ("--fixture", "curve", "-q", "2", "--ext-bound", "2", "--exact"),
         ("--poly", "x1", "-q", "7", "-n", "1", "-N", "5", "--exact"),
+        ("--poly", "x1", "-q", "7", "-n", "1", "-N", "5", "-d", "9", "--fixture-seed", "4"),
+        ("--poly", "x1", "-q", "7", "-n", "1", "-N", "5", "--compat-s258"),
+        ("--poly", "x1", "-q", "7", "-n", "1", "--exact", "--compat-s258"),
+        ("--fixture", "trap", "-q", "7", "-d", "4", "-N", "5"),
+        ("--fixture", "singular", "-q", "2", "--fixture-seed", "1", "-N", "5"),
     ]
     for argv in ignored:
         code, out, err = run_cli(capsys, "run", *argv)
         assert (code, out) == (1, "") and err.startswith("error: "), argv
+    # dist reads neither -e nor --compat-s258, so argparse refuses them
+    for flags in (("-e", "0.1"), ("--compat-s258",)):
+        code, out, err = run_cli(capsys, "dist", "--kind", "single", "-q", "2", "-n", "1", *flags)
+        assert (code, out) == (1, "") and "unrecognized arguments" in err, flags
     code, out, _ = run_cli(capsys, "run", "--matrix", str(path), "-N", "5")
     assert code == 0 and json.loads(out)["q"] == 7
 

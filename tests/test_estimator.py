@@ -291,6 +291,29 @@ def test_verdict_context_checks():
         run_irreducibility_test(from_poly(parse_poly("x1", F5, 3)), plan, seed=0)
 
 
+def test_verdicts_see_only_the_zero_set_over_the_field():
+    # the test counts zeros in F_7^4, so a square, or a factor with no
+    # F_7-points (x1^2 + 1, as -1 is no square mod 7), reads as the other
+    # factor; x1^2 - 3*x2^2 is irreducible over F_7 (3 is no square) but
+    # splits over F_49, and reads as irreducible, which is right over F_7
+    plan = plan_test(7, 4, 0.005, s=COMPAT_S)
+    assert (plan.N, plan.threshold_k) == (647, 128)
+    g = "x1*x2 + x3^2 + x4 + 1"
+    cases = {
+        g: (Fraction(1, 7), [89, 79, 86], LIKELY_IRREDUCIBLE),
+        f"({g})*({g})": (Fraction(1, 7), [89, 79, 86], LIKELY_IRREDUCIBLE),
+        f"({g})*(x1^2 + 1)": (Fraction(1, 7), [89, 79, 86], LIKELY_IRREDUCIBLE),
+        "x1^2 - 3*x2^2": (Fraction(1, 49), [16, 12, 16], LIKELY_IRREDUCIBLE),
+        f"({g})*(x2 + x3*x4 + 3)": (Fraction(636, 2401), [159, 156, 160], LIKELY_REDUCIBLE),
+    }
+    for text, (gamma, ks, outcome) in cases.items():
+        bb = from_poly(parse_poly(text, F7, 4))
+        assert exact_gamma(bb) == gamma, text
+        verdicts = [run_irreducibility_test(bb, plan, seed) for seed in (1, 2, 3)]
+        assert [v.report.k for v in verdicts] == ks, text
+        assert {v.outcome for v in verdicts} == {outcome}, text
+
+
 # ---------------------------------------------------------------------------
 # the product trap fixture
 

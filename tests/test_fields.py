@@ -85,6 +85,24 @@ def test_index_round_trip(field):
         assert parse_poly(field.format_element(a), field, 0).terms.get((), 0) == a
 
 
+@pytest.mark.parametrize("field", SMALL_FIELDS + [GF(7, 4)], ids=lambda f: str(f.spec))
+def test_sub_is_the_coordinate_difference(field):
+    # a - b has coordinates (a_j - b_j) mod p, on every pair of a small
+    # field and on a sample of GF(7^4), which has no tables
+    p, k, q = field.p, field.k, field.q
+    places = [p ** (k - 1 - j) for j in range(k)]
+    if q <= 256:
+        pairs = itertools.product(field.elements(), repeat=2)
+    else:
+        rnd = random.Random(q)
+        pairs = [(rnd.randrange(q), rnd.randrange(q)) for _ in range(500)]
+        pairs += [(0, q - 1), (q - 1, 0), (q - 1, q - 1)]
+    for a, b in pairs:
+        want = sum((a // t % p - b // t % p) % p * t for t in places)
+        assert field.sub(a, b) == want, (a, b)
+    assert field.k == 1 or (field._log == []) == (q > TABLE_CAP)
+
+
 def test_inverse_by_brute_force_f7():
     f = GF(7)
     # the unique b with 3*b == 1
