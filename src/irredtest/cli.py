@@ -115,12 +115,14 @@ def _build_parser():
     p_dist.add_argument("--kind", required=True,
                         choices=("single", "product", "intersection", "substitution", "det"))
     p_dist.add_argument("-q", type=int, required=True)
-    p_dist.add_argument("-n", type=int, default=1)
-    p_dist.add_argument("--x-count", type=int, help="size of the fixed point set")
+    p_dist.add_argument("-n", type=int, help="number of variables (not det; default 1)")
+    p_dist.add_argument("--x-count", type=int,
+                        help="size of the fixed point set (intersection, substitution)")
     p_dist.add_argument("--m", type=int, help="target dimension (substitution)")
-    p_dist.add_argument("--gamma-x", type=_fraction, help="target density as a fraction, e.g. 1/3")
-    p_dist.add_argument("--rows", type=int, default=2)
-    p_dist.add_argument("--cols", type=int, default=2)
+    p_dist.add_argument("--gamma-x", type=_fraction,
+                        help="target density as a fraction, e.g. 1/3 (substitution)")
+    p_dist.add_argument("--rows", type=int, help="matrix rows (det; default 2)")
+    p_dist.add_argument("--cols", type=int, help="matrix columns (det; default 2)")
     return parser
 
 
@@ -254,12 +256,29 @@ def _first_points(q, dims, count):
     yield from islice(product(range(q), repeat=dims), max(count, 0))
 
 
+# the flags of `dist` that only some kinds read, and those kinds
+_DIST_FLAGS = (
+    ("-n", "n", ("single", "product", "intersection", "substitution")),
+    ("--rows", "rows", ("det",)),
+    ("--cols", "cols", ("det",)),
+    ("--x-count", "x_count", ("intersection", "substitution")),
+    ("--m", "m", ("substitution",)),
+    ("--gamma-x", "gamma_x", ("substitution",)),
+)
+
+
 def cmd_dist(args) -> int:
-    q, n = args.q, args.n
+    for flag, name, kinds in _DIST_FLAGS:
+        if getattr(args, name) is not None and args.kind not in kinds:
+            raise _UsageError(f"{flag} does not apply to --kind {args.kind}")
+    q = args.q
     if args.kind == "det":
-        p = det_expectation(q, args.rows, args.cols)
-        print(f"# kind=det q={q} rows={args.rows} cols={args.cols} expectation={float(p)}")
+        rows = 2 if args.rows is None else args.rows
+        cols = 2 if args.cols is None else args.cols
+        p = det_expectation(q, rows, cols)
+        print(f"# kind=det q={q} rows={rows} cols={cols} expectation={float(p)}")
         return 0
+    n = 1 if args.n is None else args.n
     brute_args = {}  # keyword arguments of the brute-force column, None for none
     if args.kind == "single":
         model = gamma_model(q, n)

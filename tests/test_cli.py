@@ -449,6 +449,28 @@ def test_dist_requires_parameters(capsys):
     assert code == 1
 
 
+def test_dist_refuses_the_flags_of_other_kinds(capsys):
+    ignored = [
+        ("single", "-n", "1", "--rows", "5"),
+        ("product", "--cols", "3"),
+        ("det", "-n", "7"),
+        ("det", "--x-count", "2"),
+        ("single", "--x-count", "2"),
+        ("intersection", "--x-count", "1", "--m", "2"),
+        ("intersection", "--x-count", "1", "--gamma-x", "1/2"),
+        ("product", "--gamma-x", "1/2"),
+    ]
+    for kind, *flags in ignored:
+        code, out, err = run_cli(capsys, "dist", "--kind", kind, "-q", "2", *flags)
+        assert (code, out) == (1, "") and "does not apply to --kind " + kind in err, flags
+    # without -n, --rows and --cols each kind reads its default: 1, 2 and 2
+    assert run_cli(capsys, "dist", "--kind", "single", "-q", "2") == run_cli(
+        capsys, "dist", "--kind", "single", "-q", "2", "-n", "1"
+    )
+    code, out, _ = run_cli(capsys, "dist", "--kind", "det", "-q", "2")
+    assert code == 0 and out.startswith("# kind=det q=2 rows=2 cols=2 expectation=0.625")
+
+
 def test_dist_brute_force_over_fixed_point_sets(capsys):
     # the brute-force column of intersection and of substitution with --m,
     # pinned byte for byte; --gamma-x sets only the analytic column

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,13 @@ from irredtest import (
     total_degree,
 )
 from irredtest.fields import DEFAULT_MODULI
-from irredtest.polynomials import _MAX_ENTRIES, _monomials
+from irredtest.polynomials import (
+    _MAX_ENTRIES,
+    _horner,
+    _monomials,
+    _reduced_terms,
+    _value_table,
+)
 
 from conftest import all_points, naive_eval
 
@@ -299,6 +306,104 @@ def test_dense_univariate_degree_3000():
     for x in (0, 1, 2, 12345, p - 1):
         want = sum(c * pow(x, e, p) for (e,), c in terms.items()) % p
         assert f.evaluate((x,)) == want
+
+
+def _is_table(f):
+    return "T" in f._evaluator.__globals__
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_value_table_matches_horner_and_naive(data):
+    # both evaluators are built on the same reduced terms, whatever the rule
+    # would pick; the table spans every variable, read or not, and over
+    # GF(257) its values are stored as array('H')
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 257]))
+    n = data.draw(st.integers(0, 1 if p == 257 else 4))
+    field = GF(p)
+    kind = data.draw(st.sampled_from(["terms", "zero", "constant"]))
+    if kind == "terms":
+        exps = st.tuples(*[st.integers(0, 3 * p)] * n)
+        terms = data.draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=12))
+        f = SparsePolynomial(field, n, terms)
+    elif kind == "zero":
+        f = SparsePolynomial.zero(field, n)
+    else:
+        f = SparsePolynomial.constant(field, n, data.draw(st.integers(1, p - 1)))
+    reduced = _reduced_terms(f)
+    table = _value_table(p, reduced, list(range(n)))
+    horner = _horner(field, n, reduced)
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=6))
+    for pt in points + [(0,) * n, (p - 1,) * n]:
+        assert table(pt) == horner(pt) == naive_eval(f, pt)
+    assert type(table.__globals__["T"]) is (bytes if p < 256 else array)
+
+
+def test_value_table_of_a_dense_univariate_over_gf257():
+    # every exponent below p, coefficients near p: the widest lanes of a
+    # univariate table, values stored as array('H')
+    p = 257
+    stream = RandomStream(6, stream=0)
+    terms = {(e,): p - 1 - stream.next_below(4) for e in range(p)}
+    table = _value_table(p, terms, [0])
+    assert table.__globals__["T"].typecode == "H"
+    for x in range(p):
+        assert table((x,)) == sum(c * pow(x, e, p) for (e,), c in terms.items()) % p
+
+
+def test_dense_univariate_over_gf65521_keeps_horner_code():
+    # 1,100 terms would admit 65,521 entries, but a table would take p^2
+    # (about 4.3e9) slab multiply-adds, so the rule keeps Horner code
+    field = GF(65521)
+    p = field.p
+    stream = RandomStream(6, stream=0)
+    terms = {(stream.next_below(p),): 1 + stream.next_below(p - 1) for _ in range(1100)}
+    f = SparsePolynomial(field, 1, terms)
+    assert len(f.terms) > 1024
+    for x in (0, 1, 2, 12345, p - 1):
+        assert f.evaluate((x,)) == sum(c * pow(x, e, p) for (e,), c in terms.items()) % p
+    assert not _is_table(f)
+
+
+def test_the_rule_picks_the_table_for_small_prime_domains_only():
+    trap = make_product_trap_fixture(3)
+    tabulated = [
+        trap.reduce_mod(GF(7)),
+        trap.reduce_mod(GF(13)),
+        random_dense_poly(F3, 4, 6, RandomStream(3)),
+        parse_poly("x2", F7, 3),  # 7 entries and 49 multiply-adds for one term
+    ]
+    compiled = [
+        parse_poly("x1^2*x2 + 3*x3*x1 + x2^2 + 5", F7, 3),  # 343 + 147 for 4 terms
+        parse_poly("x1*x2 + 1", GF(3, 2), 2),  # extension fields never tabulate
+        SparsePolynomial.constant(F7, 2, 3),  # reads no variable
+        SparsePolynomial.zero(F7, 2),
+    ]
+    for f in tabulated + compiled:
+        pt = (1,) * f.n
+        assert f.evaluate(pt) == naive_eval(f, pt)
+    assert [_is_table(f) for f in tabulated + compiled] == [True] * 4 + [False] * 4
+
+
+def test_value_table_reads_and_reduces_only_its_coordinates():
+    f = parse_poly("x1", F7, 3)
+    assert f.evaluate((1, "a", 2.0)) == 1 and _is_table(f)
+    assert from_poly(f).is_zero_at((0, "a", 2.0))
+    g = parse_poly("x1^2*x3 + x3 + 1", F7, 3)
+    assert g.evaluate((10**30, "a", -1)) == g.evaluate((1, 0, 6)) == 6 and _is_table(g)
+    # a read coordinate that is not an int, a str with a % directive too
+    for x in (3.0, "a", "%z", None):
+        with pytest.raises(RangeError):
+            g.evaluate((x, 0, 1))
+
+
+def test_pickling_drops_the_kept_evaluator():
+    for text, table in (("x1 + 1", True), ("x1*x2 + 1", False)):
+        f = parse_poly(text, F7, 2)
+        assert f.evaluate((1, 1)) == 2 and _is_table(f) == table
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g._evaluator is None
+        assert g.evaluate((1, 1)) == 2
 
 
 def test_evaluator_is_built_on_first_evaluation_only():
