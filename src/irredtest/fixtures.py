@@ -20,7 +20,7 @@ def _random_int_poly(nvars, degree, stream):
     top = len(mons) - comb(nvars + degree - 1, degree)
     span = _COEFF_HI - _COEFF_LO + 1
     while True:
-        coeffs = [_COEFF_LO + stream.next_below(span) for _ in mons]
+        coeffs = [_COEFF_LO + c for c in stream.below_many(span, len(mons))]
         if any(coeffs[top:]):  # keep the nominal degree exact
             return {e: c for e, c in zip(mons, coeffs) if c}
 

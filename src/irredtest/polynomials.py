@@ -83,10 +83,51 @@ def _collect(pairs, add):
 
 
 def _product(a, b, add, mul):
-    """Term map of the product of the term maps a and b."""
-    pairs = ((tuple(map(operator.add, ea, eb)), mul(ca, cb))
-             for ea, ca in a.items() for eb, cb in b.items())
-    return _collect(pairs, add)
+    """Term map of the product of the term maps a and b, over a field or the
+    integers, as _collect would give it for the pairs taken a-major.
+
+    Each exponent tuple is packed into one int with w bits per variable,
+    where w is the bit length of the largest exponent of a plus the largest
+    of b, so no slot of a sum carries: the key of a pair's product is the
+    sum of the two keys.  Coefficients meet in a dict keyed by those ints,
+    in the order the pairs come, and the keys are unpacked once, at the end.
+    """
+    if not a or not b:
+        return {}
+    n = len(next(iter(a)))
+    chain = itertools.chain.from_iterable
+    w = ((max(chain(a)) + max(chain(b))).bit_length() or 1) if n else 1
+    shifts = range(0, w * n, w)
+    lshift = operator.lshift
+    pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        ka = sum(map(lshift, ea, shifts))
+        for kb, cb in pb:
+            k = ka + kb
+            s = get(k)
+            out[k] = mul(ca, cb) if s is None else add(s, mul(ca, cb))
+    mask = (1 << w) - 1
+    return {tuple([k >> at & mask for at in shifts]): c for k, c in out.items() if c}
+
+
+_INT = frozenset([int])
+
+
+def _check_terms(terms, n, q):
+    """Raise for the first term of `terms` that is not n int exponents >= 0
+    with a coefficient in [0, q)."""
+    for exps, c in terms.items():
+        if len(exps) != n:
+            raise ArityMismatch(f"exponent tuple {exps} does not match {n} variables")
+        if not _INT.issuperset(map(type, exps)):
+            raise RangeError(f"non-int exponent in {exps}")
+        if exps and min(exps) < 0:
+            raise RangeError(f"negative exponent in {exps}")
+        # elements index the field's tables, so a stray int would not fail
+        if type(c) is not int or not 0 <= c < q:
+            raise RangeError(f"coefficient {c!r} is not an element of F_{q}")
 
 
 class SparsePolynomial:
@@ -99,21 +140,22 @@ class SparsePolynomial:
             raise ArityMismatch(f"variable count must be >= 0, got {n}")
         self.field = field
         self.n = n
-        q = field.q
-        clean = {}
-        for exps, c in terms.items():
-            if len(exps) != n:
-                raise ArityMismatch(
-                    f"exponent tuple {exps} does not match {n} variables"
-                )
-            if exps and min(exps) < 0:
-                raise RangeError(f"negative exponent in {exps}")
-            # elements index the field's tables, so a stray int would not fail
-            if type(c) is not int or not 0 <= c < q:
-                raise RangeError(f"coefficient {c!r} is not an element of F_{q}")
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+        # whole-map passes in C; the per-term loop runs only to name the
+        # first offending term
+        keys, coeffs = terms.keys(), terms.values()
+        chain, entries = itertools.chain, itertools.chain.from_iterable
+        try:
+            valid = not terms or (
+                {n}.issuperset(map(len, keys))
+                and _INT.issuperset(map(type, chain(entries(keys), coeffs)))
+                and min(chain(entries(keys), coeffs)) >= 0
+                and max(coeffs) < field.q
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            _check_terms(terms, n, field.q)
+        self.terms = {tuple(exps): c for exps, c in terms.items() if c}
         self._evaluator = None
 
     # -- constructors --------------------------------------------------
@@ -495,14 +537,17 @@ def total_degree(f: SparsePolynomial) -> int:
 def random_dense_poly(field, n, d, stream) -> SparsePolynomial:
     """Independent uniform coefficient for every monomial of degree <= d.
 
-    Monomials are visited in the monomials_up_to order, one draw each, so
-    the result is reproducible from (field, n, d, stream position).
+    The coefficients are one stream.below_many(q, monomials) call, which
+    reads the words of one next_below(q) per monomial in the
+    monomials_up_to order, so the result is reproducible from
+    (field, n, d, stream position).
     """
     if d < 0:
         raise RangeError(f"degree must be >= 0, got {d}")
-    draw = stream.next_below
-    q = field.q
-    return SparsePolynomial(field, n, {e: c for e in _monomials(n, d) if (c := draw(q))})
+    mons = _monomials(n, d)
+    coeffs = stream.below_many(field.q, len(mons))
+    # zeros dropped here are zeros the constructor need not check
+    return SparsePolynomial(field, n, dict(itertools.compress(zip(mons, coeffs), coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +699,11 @@ class _Parser:
                 break
             self.take()
         term = {tuple(exps): coeff} if coeff else {}
+        unit = {(0,) * n: field.one} if groups else None
         for g in groups:
             self.charge(len(term) * len(g), pos)
-            term = _product(term, g, field.add, field.mul)
+            # 1 * g is g, so a term of parenthesised sums alone starts from g
+            term = g if term == unit else _product(term, g, field.add, field.mul)
         return term
 
     def parse_braced(self):

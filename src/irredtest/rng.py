@@ -106,7 +106,8 @@ class RandomStream:
     `_lanes` doubles with each refill up to BATCH (1, 2, 4, ...), so a
     stream that draws a few words computes a block or two and a long one
     pays for few calls.  `_lanes` 0 means one block and then one more
-    before the doubling starts; prefilled_streams sets it.
+    before the doubling starts; prefilled_streams sets it.  below_many
+    raises `_lanes` to the blocks it still needs before a refill.
     """
 
     __slots__ = ("seed", "stream", "_block", "_lanes", "_words")
@@ -169,6 +170,37 @@ class RandomStream:
         while v >= limit:
             v = self.next_u64()
         return v % bound
+
+    def below_many(self, bound: int, count: int) -> list:
+        """The list that `count` calls of next_below(bound) would return.
+
+        It reads the same words and leaves the stream at the same word.
+        Below 2^32 the words are taken from the buffer a run at a time, never
+        more than the draws still missing, and the rejected ones are dropped;
+        a refill computes at least the blocks still missing, up to BATCH,
+        which changes how many blocks a call computes but not the words.
+        Larger bounds take count next_below calls.
+        """
+        if not 0 < bound <= 0x100000000:
+            if bound <= 0:
+                raise RangeError(f"bound must be positive, got {bound}")
+            if bound > 1 << 63:
+                raise RangeError("bounds beyond 2^63 are not supported")
+            return [self.next_below(bound) for _ in range(count)]
+        limit = 0x100000000 - 0x100000000 % bound
+        out = []
+        while len(out) < count:
+            missing = count - len(out)
+            if not self._words:
+                self._lanes = max(self._lanes, min((missing + 3) // 4, BATCH))
+                self._refill()
+            words = self._words
+            take = min(missing, len(words))
+            run = words[-take:]  # the next words, the last one first
+            del words[-take:]
+            run.reverse()
+            out += map(bound.__rmod__, filter(limit.__gt__, run))
+        return out
 
 
 def _pack(words):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import pickle
 import time
 import tracemalloc
@@ -31,6 +32,7 @@ from irredtest.polynomials import (
     _MAX_ENTRIES,
     _horner,
     _monomials,
+    _product,
     _reduced_terms,
     _value_table,
 )
@@ -532,6 +534,76 @@ def test_constructor_validation():
             SparsePolynomial(field, 1, {(1,): c})
     # zero coefficients are dropped on construction
     assert SparsePolynomial(F3, 1, {(2,): 0}).is_zero()
+    # an exponent is an int: not a float, even an integral one, nor a bool
+    for exps in ((1.5, 0), (2.0, 1), ("a", 1), (True, 0), (0, 1 << 70, 1.0)):
+        with pytest.raises(RangeError, match=r"^non-int exponent in \("):
+            SparsePolynomial(F7, len(exps), {exps: 1})
+    # the error is the first offending term's, checked in the old order:
+    # arity, then exponents, then the coefficient
+    bad = {(1, 0): 2, (1, 0, 0): 9, (-1, 0): 1}
+    with pytest.raises(ArityMismatch, match=r"\(1, 0, 0\)"):
+        SparsePolynomial(F7, 2, bad)
+    with pytest.raises(RangeError, match="coefficient 9 "):
+        SparsePolynomial(F7, 2, {(1, 0): 9, (1,): 1, (-1, 0): 1})
+    with pytest.raises(RangeError, match=r"negative exponent in \(-1, 0\)"):
+        SparsePolynomial(F7, 2, {(1, 0): 2, (-1, 0): 9})
+    with pytest.raises(RangeError, match=r"coefficient True "):
+        SparsePolynomial(F7, 1, {(1,): 1, (2,): True})
+    # a key that is a sequence of ints is stored as a tuple
+    assert SparsePolynomial(F7, 2, {b"\x01\x02": 3}).terms == {(1, 2): 3}
+
+
+def naive_product(a, b, add, mul):
+    """Schoolbook product on tuple keys, pairs a-major: the reference for
+    _product's term map and its insertion order."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = mul(ca, cb)
+            out[e] = add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+GF9 = GF(3, 2)
+# (add, mul, nonzero coefficients): the integers, a prime field, an extension
+PRODUCT_RINGS = {
+    "Z": (operator.add, operator.mul, st.integers(-3, 3).filter(bool)),
+    "F7": (F7.add, F7.mul, st.integers(1, 6)),
+    "GF9": (GF9.add, GF9.mul, st.integers(1, 8)),
+}
+# 255 + 1 and 255 + 255 cross a byte; 2^64 + 3 and 10^30 need wide slots
+PRODUCT_EXPONENTS = st.sampled_from([0, 255, 256, 2**64 + 3, 10**30]) | st.integers(0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_matches_the_schoolbook_product(data):
+    add, mul, coeff = PRODUCT_RINGS[data.draw(st.sampled_from(sorted(PRODUCT_RINGS)))]
+    n = data.draw(st.integers(0, 5))
+    exps = st.tuples(*[PRODUCT_EXPONENTS] * n)
+    a, b = (data.draw(st.dictionaries(exps, coeff, max_size=7)) for _ in range(2))
+    got = _product(a, b, add, mul)
+    assert list(got.items()) == list(naive_product(a, b, add, mul).items())
+
+
+def test_product_cancels_and_keeps_the_first_occurrence_order():
+    big = 10**30
+    cases = [
+        # (x + 1)(x - 1): the x terms cancel
+        ({(big,): 1, (0,): 1}, {(big,): 1, (0,): -1}, operator.add, operator.mul),
+        # (x + y)(y - x + 2xy): x*y, the first key, cancels against y*(-x)
+        ({(1, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): -1, (1, 1): 2}, operator.add, operator.mul),
+        ({(255, 1): 3, (1, 255): 4}, {(1, 255): 5, (255, 1): 2}, F7.add, F7.mul),
+        ({(): 3}, {(): 5}, F7.add, F7.mul),
+        ({(): 3}, {}, F7.add, F7.mul),
+    ]
+    for a, b, add, mul in cases:
+        got = _product(a, b, add, mul)
+        assert list(got.items()) == list(naive_product(a, b, add, mul).items())
+    assert _product(*cases[0]) == {(2 * big,): 1, (0,): -1}
+    assert list(_product(*cases[1])) == [(2, 0), (2, 1), (0, 2), (1, 2)]
+    assert _product(*cases[3]) == {(): 1}
 
 
 def test_monomials_up_to_count_and_order():

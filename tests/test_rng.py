@@ -357,3 +357,78 @@ def test_refills_double_up_to_a_batch(monkeypatch):
     for _ in range(4 * 7):
         stream.next_u32()
     assert seen == [1, 1, 2, 4]
+
+
+def _stream_at(seed, stream, start, lanes):
+    if lanes is None:  # a prefilled stream: `_lanes` 0 and its first 2 blocks held
+        (rs,) = rng.prefilled_streams(seed, stream, stream + 1, 2)
+        return rs
+    rs = RandomStream(seed, stream)
+    rs._block = start
+    rs._lanes = lanes
+    return rs
+
+
+# 1 and 2^32 reject nothing, 2^31 + 5 about half the words; 2^40 + 3 and
+# 2^63 take 64-bit draws through next_below
+MANY_BOUND = st.sampled_from([1, 3, 19, 2**31 + 5, 2**32, 2**40 + 3, 2**63])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-(2**64), 2**65),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 2**32 - 5, 2**64 - 40]),
+    st.sampled_from([None, 0, 1]),
+    MANY_BOUND,
+    st.lists(st.integers(0, 1500), max_size=4),
+)
+@example(7, 1 << 32, 2**32 - 5, 1, 2**31 + 5, [0, 1, 1500, 1499])
+@example(-1, 2**64 - 1, 2**64 - 40, None, 3, [1500, 1500, 0, 4])
+def test_below_many_equals_next_below_calls(seed, stream, start, lanes, bound, counts):
+    # the same values, and the stream left at the same word: the next
+    # 50 words of both streams agree
+    rs = _stream_at(seed, stream, start, lanes)
+    ref = _stream_at(seed, stream, start, lanes)
+    for count in counts:
+        assert rs.below_many(bound, count) == [ref.next_below(bound) for _ in range(count)]
+    assert [rs.next_u32() for _ in range(50)] == [ref.next_u32() for _ in range(50)]
+
+
+@pytest.mark.parametrize("bound", [0, -3, 2**63 + 1, 2**64])
+@pytest.mark.parametrize("count", [0, 5])
+def test_below_many_checks_the_bound_as_next_below_does(bound, count):
+    rs = RandomStream(1)
+    with pytest.raises(RangeError) as many:
+        rs.below_many(bound, count)
+    with pytest.raises(RangeError) as single:
+        rs.next_below(bound)
+    assert str(many.value) == str(single.value)
+    assert rs._words == [] and rs._block == 0  # nothing was drawn
+
+
+def test_below_many_refills_the_blocks_it_still_needs(monkeypatch):
+    seen = []
+    kernel = rng.philox4x32
+
+    def spy(*args):
+        seen.append(args[6] if len(args) > 6 else 1)
+        return kernel(*args)
+
+    monkeypatch.setattr(rng, "philox4x32", spy)
+    rs = RandomStream(11, stream=5)
+    rs.below_many(3, 210)  # 53 blocks in one call, where doubling makes six
+    assert seen == [53]
+    rs.below_many(3, 2)  # the two words left over
+    rs.below_many(7, 5000)  # 1,250 blocks, at most BATCH at a time
+    assert seen == [53] + [rng.BATCH] * 5
+    # a refill never takes fewer blocks than the doubling would
+    rs = RandomStream(11, stream=6)
+    rs.next_u32()
+    rs.next_u32()
+    rs.next_u32()
+    rs.next_u32()
+    rs.next_u32()  # the second refill: two blocks, 7 words left, 4 lanes next
+    seen.clear()
+    rs.below_many(5, 7 + 3)  # 3 words short: one block would do, 4 it is
+    assert seen == [4]
