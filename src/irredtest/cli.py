@@ -8,6 +8,8 @@ oracle error, 2 infeasible plan, 3 LikelyReducible.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -79,7 +81,9 @@ def _seed(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process; parsing leaves it as it was."""
     parser = _Parser(prog="irredtest", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("-e", "--epsilon", type=float, default=0.005)
@@ -93,9 +97,11 @@ def _build_parser():
     p_plan = sub.add_parser("plan", parents=[common], help="sampling plan for one (q, n)")
     p_plan.add_argument("-q", type=int, required=True)
     p_plan.add_argument("-n", type=int, required=True)
+    p_plan.set_defaults(handler=cmd_plan)
 
     p_table = sub.add_parser("table", parents=[common], help="reference grid as CSV")
     p_table.add_argument("--which", choices=("N", "threshold"), required=True)
+    p_table.set_defaults(handler=cmd_table)
 
     p_run = sub.add_parser("run", parents=[common], help="sample an oracle")
     p_run.add_argument("-q", type=int, help="prime field order shorthand")
@@ -110,6 +116,7 @@ def _build_parser():
     p_run.add_argument("-N", "--samples", type=int, help="estimate only, with this many draws")
     p_run.add_argument("--exact", action="store_true", help="exhaustive count instead of sampling")
     p_run.add_argument("--seed", type=_seed, default=0)
+    p_run.set_defaults(handler=cmd_run)
 
     p_dist = sub.add_parser("dist", help="zero-count distributions")
     p_dist.add_argument("--kind", required=True,
@@ -123,6 +130,7 @@ def _build_parser():
                         help="target density as a fraction, e.g. 1/3 (substitution)")
     p_dist.add_argument("--rows", type=int, help="matrix rows (det; default 2)")
     p_dist.add_argument("--cols", type=int, help="matrix columns (det; default 2)")
+    p_dist.set_defaults(handler=cmd_dist)
     return parser
 
 
@@ -132,19 +140,12 @@ def _plan_quantile(args):
 
 def cmd_plan(args) -> int:
     plan = plan_test(args.q, args.n, args.epsilon, s=_plan_quantile(args))
-    print(f"q={plan.q}")
-    print(f"n={plan.n}")
-    print(f"epsilon={plan.epsilon}")
-    print(f"s={plan.s}")
-    print(f"p1={plan.p1}")
-    print(f"p2={plan.p2}")
-    print(f"feasible={'true' if plan.feasible else 'false'}")
-    if not plan.feasible:
-        return 2
-    print(f"p_middle={plan.p_middle}")
-    print(f"N={plan.N}")
-    print(f"threshold_k={plan.threshold_k}")
-    print(f"exceeds_point_count={'true' if plan.exceeds_point_count else 'false'}")
+    # the fields in declaration order, up to feasible=false if infeasible
+    for field in dataclasses.fields(plan):
+        value = getattr(plan, field.name)
+        print(f"{field.name}={str(value).lower() if type(value) is bool else value}")
+        if field.name == "feasible" and not value:
+            return 2
     return 0
 
 
@@ -331,16 +332,9 @@ def cmd_dist(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler = {
-            "plan": cmd_plan,
-            "table": cmd_table,
-            "run": cmd_run,
-            "dist": cmd_dist,
-        }[args.command]
-        status = handler(args)
+        args = _build_parser().parse_args(argv)
+        status = args.handler(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -10,13 +10,13 @@ polynomial in k and log p, so every p^k < 2^63 builds in milliseconds.
 extension_of embeds an extension base by evaluation at a root of its modulus,
 found in the copy of F_q^* inside the bigger field, not by scanning it.
 
-An extension field of order at most TABLE_CAP builds, on its first
-arithmetic call, a log list indexed by element (the discrete log to a
-generator g), an antilog list and a Zech table (the log of 1 + g^i).  A
-product is then one antilog lookup at la + lb and a sum one Zech lookup,
-for p = 2 and odd p alike.  Each field object builds its own tables, from
-the schoolbook helpers below; bigger fields use those helpers throughout,
-as does Ben-Or's test, whose candidate modulus may factor.
+An extension field of order at most TABLE_CAP builds, when it is made, a
+log list indexed by element (the discrete log to a generator g), an
+antilog list and a Zech table (the log of 1 + g^i).  A product is then one
+antilog lookup at la + lb and a sum one Zech lookup, for p = 2 and odd p
+alike.  Each field object builds its own tables, from the schoolbook
+helpers below; bigger fields use those helpers throughout, as does Ben-Or's
+test, whose candidate modulus may factor.
 """
 
 from dataclasses import dataclass
@@ -376,9 +376,11 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """F_p[x]/(m) for a monic irreducible m of degree k > 1.
 
-    Up to TABLE_CAP elements, arithmetic runs on tables built by _tables on
-    the first call; above it, on coordinates: sums digit by digit, products
-    and inverses by the schoolbook helpers through _coords and _element.
+    Up to TABLE_CAP elements, arithmetic runs on tables built by
+    _build_tables when the field is made, which raises ReducibleModulus for
+    a reducible m; above it, _log is [] and arithmetic runs on coordinates:
+    sums digit by digit, products and inverses by the schoolbook helpers
+    through _coords and _element.
     """
 
     __slots__ = ("modulus", "_reduction", "_places", "_log", "_exp", "_zech", "_half")
@@ -393,7 +395,7 @@ class ExtensionField(Field):
         self.one = spec.p ** (spec.k - 1)
         self._places = tuple(spec.p ** (spec.k - 1 - j) for j in range(spec.k))
         self._reduction = _reduction_rows(spec.modulus, spec.p)
-        self._log = None
+        self._log = [] if self.q > TABLE_CAP else self._build_tables()
 
     def _coords(self, a):
         """The k coordinates of element a, constant first."""
@@ -405,8 +407,8 @@ class ExtensionField(Field):
         p = self.p
         return sum([c % p * place for c, place in zip(coords, self._places)])
 
-    def _tables(self):
-        """The log list, built on first use; [] above TABLE_CAP.
+    def _build_tables(self):
+        """The log list; also sets _exp, _zech and _half.
 
         With n = q - 1 and g the first generator of F_q^* in index order,
         _log sends g^i to i and zero to 2n.  _exp lists g^0..g^(n-1) twice,
@@ -416,11 +418,6 @@ class ExtensionField(Field):
         i; add indexes it by lb - la, and a negative difference wraps
         through Python's list indexing, since g^(i - n) is g^i.
         """
-        if self._log is None:
-            self._log = [] if self.q > TABLE_CAP else self._build_tables()
-        return self._log
-
-    def _build_tables(self):
         p, q, one, reduction = self.p, self.q, self.one, self._reduction
         n = q - 1
         unit = (1,) + (0,) * (self.k - 1)  # the coordinates of one
@@ -447,7 +444,7 @@ class ExtensionField(Field):
         return log
 
     def add(self, a, b):
-        log = self._log or self._tables()
+        log = self._log
         if log:
             lb = log[b]
             if lb >= self.q:
@@ -461,27 +458,27 @@ class ExtensionField(Field):
         return sum([(a // t + b // t) % p * t for t in self._places])
 
     def neg(self, a):
-        log = self._log or self._tables()
+        log = self._log
         if log:
             return self._exp[log[a] + self._half]
         p = self.p
         return sum([-(a // t) % p * t for t in self._places])
 
     def mul(self, a, b):
-        log = self._log or self._tables()
+        log = self._log
         if log:
             return self._exp[log[a] + log[b]]
         return self._element(_ring_mul(self._coords(a), self._coords(b), self.p, self._reduction))
 
     def inv(self, a):
-        if self._log or self._tables():
+        if self._log:
             return self.pow(a, -1)
         if a:
             return self._element(_poly_gcdex(self.modulus, self._coords(a), self.p)[1])
         raise DivisionByZero(f"0 has no inverse in F_{self.p}^{self.k}")
 
     def pow(self, a, e: int):
-        log = self._log or self._tables()
+        log = self._log
         if not log:
             return super().pow(a, e)
         la = log[a]

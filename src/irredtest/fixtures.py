@@ -53,8 +53,10 @@ class ProductTrapFixture:
 
 
 def _reduce_int_poly(terms, field) -> SparsePolynomial:
+    # from_int's c % p * one, without a method call per coefficient
+    p, one = field.p, field.one
     return SparsePolynomial(
-        field, TRAP_VARS, {e: field.from_int(c) for e, c in terms.items()}
+        field, TRAP_VARS, {e: c % p * one for e, c in terms.items() if c % p}
     )
 
 

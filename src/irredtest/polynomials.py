@@ -119,7 +119,11 @@ def _check_terms(terms, n, q):
     """Raise for the first term of `terms` that is not n int exponents >= 0
     with a coefficient in [0, q)."""
     for exps, c in terms.items():
-        if len(exps) != n:
+        try:
+            arity = len(exps)
+        except TypeError:
+            raise RangeError(f"exponent key {exps!r} is not a tuple") from None
+        if arity != n:
             raise ArityMismatch(f"exponent tuple {exps} does not match {n} variables")
         if not _INT.issuperset(map(type, exps)):
             raise RangeError(f"non-int exponent in {exps}")

@@ -8,6 +8,7 @@ import pytest
 
 from irredtest import (
     ArityMismatch,
+    BlackBox,
     EmptyList,
     FieldMismatch,
     GF,
@@ -66,6 +67,8 @@ def test_from_poly_basic():
     assert count_zeros_exhaustive(one_bb) == 0
     with pytest.raises(ArityMismatch):
         bb.is_zero_at((1,))
+    with pytest.raises(ArityMismatch, match="arity must be >= 0, got -1"):
+        BlackBox(F3, -1, lambda pt: True)
 
 
 def test_product_matches_explicit_product():
@@ -85,6 +88,8 @@ def test_product_requires_matching_contexts():
         product_bb(parse_poly("x1", F3, 1), parse_poly("x1", F5, 1))
     with pytest.raises(ArityMismatch):
         product_bb(parse_poly("x1", F3, 1), parse_poly("x1", F3, 2))
+    with pytest.raises(TypeError, match="expected a BlackBox or SparsePolynomial, got int"):
+        product_bb(parse_poly("x1", F3, 1), 5)
 
 
 def test_intersection_cuts_down_to_origin():
@@ -96,6 +101,10 @@ def test_intersection_cuts_down_to_origin():
     assert count_zeros_exhaustive(single) == 5
     with pytest.raises(EmptyList):
         intersection_bb([])
+    with pytest.raises(FieldMismatch):
+        intersection_bb([parse_poly("x1", F5, 2), parse_poly("x1", F3, 2)])
+    with pytest.raises(ArityMismatch, match="arity 2 vs 1"):
+        intersection_bb([parse_poly("x1", F5, 2), parse_poly("x1", F5, 1)])
 
 
 def test_substitute_matches_composition():
@@ -118,6 +127,10 @@ def test_substitute_validation():
         substitute_bb(det_bb, [parse_poly("x1", F3, 2)] * 4)
     with pytest.raises(EmptyList):
         substitute_bb(det_bb, [])
+    with pytest.raises(TypeError, match="must be SparsePolynomial"):
+        substitute_bb(det_bb, good[:3] + [from_poly(good[0])])
+    with pytest.raises(ArityMismatch, match="disagree on source arity"):
+        substitute_bb(det_bb, good[:3] + [parse_poly("x1", F2, 3)])
 
 
 def test_oracles_are_pure():
@@ -205,6 +218,11 @@ def test_poly_matrix_validation():
     f3_entry = parse_poly("x1", F3, 4)
     with pytest.raises(FieldMismatch):
         PolyMatrix(F2, 4, [[f3_entry] * 2])
+    x1 = parse_poly("x1", F2, 1)
+    with pytest.raises(RangeError, match="ragged matrix rows"):
+        PolyMatrix(F2, 1, [[x1, x1], [x1]])
+    with pytest.raises(ArityMismatch, match="mismatched arity"):
+        PolyMatrix(F2, 1, [[x1, parse_poly("x1", F2, 2)]])
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +260,8 @@ def test_matrix_file_errors():
         parse_matrix_text("")
     with pytest.raises(RangeError):
         parse_matrix_text("2 2 1\nx1\nx1\nx1\nx1\n")  # short header
+    with pytest.raises(RangeError, match="bad matrix header '2 x 4 7'"):
+        parse_matrix_text("2 x 4 7\n")
     with pytest.raises(RangeError):
         parse_matrix_text("2 2 1 5\nx1\nx1\nx1\n")  # missing entry
     extension = "1 1 1 2^2:1,1,1\n{1,1}*x1\n"
@@ -336,6 +356,8 @@ def test_ternary_monomials_order():
     ]
     assert len(ternary_monomials(3)) == 10
     assert len(ternary_monomials(5)) == 21
+    with pytest.raises(RangeError, match="degree must be >= 0, got -1"):
+        ternary_monomials(-1)
 
 
 def test_ternary_monomials_are_lex_descending():
@@ -535,6 +557,8 @@ def test_singular_work_cap():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(RangeError):
         singular_curve_bb(0, F2)
+    with pytest.raises(RangeError, match="extension bound must be >= 1, got 0"):
+        singular_curve_bb(3, F2, ext_bound=0)
     bb = singular_curve_bb(3, F5, ext_bound=2)
     assert bb.n == 10
     # rational singular points are still found under the shrunken bound

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import irredtest
-from irredtest.cli import main
+from irredtest.cli import _build_parser, main
 
 MATRIX_2X2 = "2 2 4 2\nx1\nx2\nx3\nx4\n"
 
@@ -55,6 +55,54 @@ def test_plan_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "plan", "-q", "5", "-n", "4", "--bogus")
     assert code == 1
+
+
+PLAN_PINS = [
+    (["-q", "11", "-n", "4", "--compat-s258"], 0, """\
+q=11
+n=4
+epsilon=0.005
+s=2.58
+p1=0.09703882521655478
+p2=0.1654784199897643
+feasible=true
+p_middle=0.12738359386395434
+N=634
+threshold_k=81
+exceeds_point_count=false
+"""),
+    (["-q", "2", "-n", "2"], 2, """\
+q=2
+n=2
+epsilon=0.005
+s=2.5758293035489
+p1=1.143957325887225
+p2=0.19231659682856872
+feasible=false
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_out", PLAN_PINS)
+def test_plan_prints_the_plan_fields_in_order(capsys, argv, want_code, want_out):
+    # taken when each field had its own print; an infeasible plan stops
+    # after feasible=false
+    code, out, err = run_cli(capsys, "plan", *argv)
+    assert (code, out, err) == (want_code, want_out, "")
+
+
+def test_readme_shows_the_pinned_plan():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    argv, _, want_out = PLAN_PINS[0]
+    assert f"$ irredtest plan {' '.join(argv)}\n{want_out}```" in readme
+
+
+def test_main_builds_its_parser_once(capsys):
+    _build_parser.cache_clear()
+    run_cli(capsys, "plan", "-q", "5", "-n", "4")
+    run_cli(capsys, "dist", "--kind", "single", "-q", "2")
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_table_csv(capsys):

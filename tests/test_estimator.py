@@ -58,6 +58,10 @@ def test_sample_points_deterministic_and_stream_addressed():
     assert pts[0] == point_at(0)
     other = sample_points(F5, 3, 50, seed=12)
     assert pts != other
+    with pytest.raises(ArityMismatch, match="need at least one variable, got 0"):
+        sample_points(F5, 0, 1, seed=11)
+    with pytest.raises(RangeError, match="sample count must be >= 0, got -1"):
+        sample_points(F5, 3, -1, seed=11)
 
 
 @pytest.mark.parametrize(

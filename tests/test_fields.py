@@ -16,6 +16,7 @@ from irredtest import (
     RandomStream,
     RangeError,
     ReducibleModulus,
+    UnsupportedSize,
     extension_of,
     find_irreducible,
     is_prime,
@@ -43,6 +44,11 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    # composites with no factor among the witnesses: Miller-Rabin rejects
+    # them (3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7)
+    assert not is_prime(1763)  # 41 * 43
+    assert not is_prime(3215031751)
+    assert is_prime(2**64 - 59)
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: str(f.spec))
@@ -286,7 +292,8 @@ def test_find_irreducible_matches_trial_division(p, k):
 
 
 def _schoolbook(field):
-    """A second context for field's spec that never builds tables."""
+    """A second context for field's spec with its tables dropped, so it
+    runs on the schoolbook helpers."""
     twin = ExtensionField(field.spec)
     twin._log = []
     return twin
@@ -348,17 +355,17 @@ def test_fields_above_the_table_cap_stay_schoolbook():
 
 
 def test_tables_are_built_per_field_on_first_use():
+    # first use is construction: every field object builds its own tables
     first, second = GF(3, 2), GF(3, 2)
-    assert first == second and first._log is None
-    first.mul(first.one, first.one)
-    assert first._log and second._log is None
+    assert first == second and first._log and first._log == second._log
+    assert first._log is not second._log and first._exp is not second._exp
+    assert first._zech is not second._zech
 
 
 def test_tables_refuse_a_reducible_modulus():
     # x^8 + x + 1 = (x^2 + x + 1)(x^6 + x^5 + x^3 + x^2 + 1) over F_2
-    ring = ExtensionField(FieldSpec(2, 8, (1, 1, 0, 0, 0, 0, 0, 0, 1)))
     with pytest.raises(ReducibleModulus):
-        ring.mul(ring.one, ring.one)
+        ExtensionField(FieldSpec(2, 8, (1, 1, 0, 0, 0, 0, 0, 0, 1)))
 
 
 def test_pickle_rebuilds_a_field_without_its_tables():
@@ -456,3 +463,7 @@ def test_extension_of_prime_base():
     same, ident = extension_of(base, 1)
     assert same is base
     assert ident(4) == 4
+    with pytest.raises(RangeError, match="extension degree must be >= 1, got 0"):
+        extension_of(GF(2), 0)
+    with pytest.raises(UnsupportedSize, match="2\\^30 exceeds the work cap"):
+        extension_of(GF(2), 30)

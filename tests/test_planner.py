@@ -36,6 +36,8 @@ def test_adjusted_probabilities_limits():
         adjusted_probabilities(1, 3, 0.005)
     with pytest.raises(RangeError):
         adjusted_probabilities(3, 3, 0.6)
+    with pytest.raises(RangeError, match="need at least one variable, got 0"):
+        adjusted_probabilities(5, 0, 0.005)
 
 
 def test_adjusted_probabilities_crossing():
@@ -67,6 +69,8 @@ def test_p_middle_between_and_near_geometric():
             # the geometric shortcut tracks the exact boundary closely;
             # worst gap on this grid is just above 1e-2, at (2, 10)
             assert abs(plan.p_middle - p_middle_geometric(plan.p1, plan.p2)) < 2e-2
+    with pytest.raises(RangeError, match="need 0 < p1 < p2 < 1"):
+        p_middle_geometric(0.3, 0.2)
 
 
 def test_required_N_floor_and_errors():
@@ -167,6 +171,10 @@ def test_estimate_N_bound():
     assert estimate_N_bound(3, 2, 0.005, s=COMPAT_S) is None
     with pytest.raises(RangeError):
         estimate_N_bound(2, 7, 0.005)
+    with pytest.raises(RangeError, match="need at least one variable, got 0"):
+        estimate_N_bound(17, 0, 0.005)
+    with pytest.raises(RangeError, match="epsilon must be in"):
+        estimate_N_bound(17, 10, 0.5)
 
 
 def test_estimate_N_bound_scales_linearly_in_q():

@@ -520,6 +520,12 @@ def test_mixing_contexts_raises():
 def test_constructor_validation():
     with pytest.raises(ArityMismatch):
         SparsePolynomial(F3, 2, {(1,): 1})
+    with pytest.raises(ArityMismatch, match="variable count must be >= 0, got -1"):
+        SparsePolynomial(F7, -1, {})
+    with pytest.raises(ArityMismatch, match="variable count must be >= 0, got -1"):
+        parse_poly("1", F7, -1)
+    with pytest.raises(TypeError, match="cannot combine with int"):
+        SparsePolynomial(F7, 1, {}) + 5
     for exps in ((-1,), (2, 0, -3)):
         with pytest.raises(RangeError, match=r"^negative exponent in \(.*-\d"):
             SparsePolynomial(F3, len(exps), {exps: 1})
@@ -549,6 +555,10 @@ def test_constructor_validation():
         SparsePolynomial(F7, 2, {(1, 0): 2, (-1, 0): 9})
     with pytest.raises(RangeError, match=r"coefficient True "):
         SparsePolynomial(F7, 1, {(1,): 1, (2,): True})
+    # a key with no length is named, not a bare TypeError
+    for key in (5, None):
+        with pytest.raises(RangeError, match=rf"^exponent key {key} is not a tuple"):
+            SparsePolynomial(F7, 1, {key: 1})
     # a key that is a sequence of ints is stored as a tuple
     assert SparsePolynomial(F7, 2, {b"\x01\x02": 3}).terms == {(1, 2): 3}
 
@@ -613,6 +623,8 @@ def test_monomials_up_to_count_and_order():
     assert mons == sorted(mons, key=lambda e: (sum(e), e))
     assert len(set(mons)) == len(mons)
     assert list(monomials_up_to(0, 3)) == [()]
+    with pytest.raises(ArityMismatch, match="variable count must be >= 0, got -1"):
+        list(monomials_up_to(-1, 2))
 
 
 def test_monomials_up_to_matches_brute_force():
@@ -662,6 +674,8 @@ def test_random_dense_poly_shape_and_determinism():
     h = random_dense_poly(F7, 4, 5, RandomStream(22, stream=0))
     assert f != h
     assert random_dense_poly(F7, 2, 0, RandomStream(1)).n == 2
+    with pytest.raises(RangeError, match="degree must be >= 0, got -1"):
+        random_dense_poly(F7, 2, -1, RandomStream(1))
     # the sextics of c10 and exact-sweep, 53 blocks a stream, so their draws
     # span several refills; the digest was taken with one block per refill
     sextics = [
