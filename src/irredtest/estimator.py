@@ -135,31 +135,19 @@ def estimate_gamma(
     start = time.perf_counter()
     if use_exact:
         frac = exact_gamma(bb)
-        elapsed = time.perf_counter() - start
-        domain = q**n
-        return SampleReport(
-            N=domain,
-            k=frac.numerator * (domain // frac.denominator),
-            p_hat=float(frac),
-            interval=ConfidenceInterval(
-                estimate=float(frac), half_width=0.0, level=1 - 2 * epsilon
-            ),
-            mode=MODE_EXACT,
-            seed=seed,
-            elapsed=elapsed,
-        )
-    if n_samples < 1:
-        raise RangeError(f"need at least one sample, got {n_samples}")
-    hits = count_zeros(bb, n_samples, seed)
-    elapsed = time.perf_counter() - start
+        N = q**n  # built only once exact_gamma has accepted the domain
+        k = int(frac * N)  # the zero count; frac * N is an integral Fraction
+        interval = ConfidenceInterval(k / N, half_width=0.0, level=1 - 2 * epsilon)
+        kind = MODE_EXACT
+    else:
+        if n_samples < 1:
+            raise RangeError(f"need at least one sample, got {n_samples}")
+        N, k = n_samples, count_zeros(bb, n_samples, seed)
+        interval = wald_interval(k, N, epsilon)
+        kind = MODE_SAMPLED
     return SampleReport(
-        N=n_samples,
-        k=hits,
-        p_hat=hits / n_samples,
-        interval=wald_interval(hits, n_samples, epsilon),
-        mode=MODE_SAMPLED,
-        seed=seed,
-        elapsed=elapsed,
+        N=N, k=k, p_hat=k / N, interval=interval, mode=kind, seed=seed,
+        elapsed=time.perf_counter() - start,
     )
 
 

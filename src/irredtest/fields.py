@@ -5,7 +5,8 @@ of an extension has coordinates (i // p^(k-1-j)) % p, constant first, over
 a fixed monic irreducible modulus, so one is p^(k-1).  Only this module
 knows coordinates: from_coords and format_element turn text into elements
 and back.  Operands must be elements; SparsePolynomial's constructor is the
-checked boundary.  An extension modulus is checked by Ben-Or's test,
+checked boundary.  Each field checks its spec when it is made, at every
+size; an extension proves its modulus irreducible by Ben-Or's test,
 polynomial in k and log p, so every p^k < 2^63 builds in milliseconds.
 extension_of embeds an extension base by evaluation at a root of its modulus,
 found in the copy of F_q^* inside the bigger field, not by scanning it.
@@ -76,13 +77,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_order(p: int, k: int):
+    """Refuse a composite p, then an order p^k of 2^63 or more, unbuilt."""
+    if not is_prime(p):
+        raise NonPrimeCharacteristic(f"{p} is not prime")
+    if power_exceeds(p, k, ORDER_CAP - 1):
+        raise OrderOverflow(f"field order {p}^{k} exceeds 2^63")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Shape of a field: characteristic p, extension degree k, modulus.
 
     The modulus is a tuple of k+1 coefficients, constant first, and is
     present exactly when k > 1.  Validation beyond shape (primality,
-    irreducibility, order cap) happens in make_field.
+    order cap, irreducibility) happens in the field constructors.
     """
 
     p: int
@@ -337,12 +346,13 @@ class PrimeField(Field):
     __slots__ = ()
 
     def __init__(self, spec: FieldSpec):
+        _check_order(spec.p, 1)
         self.spec = spec
         self.p = spec.p
         self.k = 1
         self.q = spec.p
         self.zero = 0
-        self.one = 1 % spec.p
+        self.one = 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -376,16 +386,24 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """F_p[x]/(m) for a monic irreducible m of degree k > 1.
 
-    Up to TABLE_CAP elements, arithmetic runs on tables built by
-    _build_tables when the field is made, which raises ReducibleModulus for
-    a reducible m; above it, _log is [] and arithmetic runs on coordinates:
-    sums digit by digit, products and inverses by the schoolbook helpers
-    through _coords and _element.
+    The constructor checks p and p^k, then m reduced mod p, which its spec
+    keeps: monic, and irreducible by Ben-Or's test.  Up to TABLE_CAP
+    elements, arithmetic runs on tables built when the field is made; above
+    it, _log is [] and arithmetic runs on coordinates: sums digit by digit,
+    products and inverses by the schoolbook helpers, via _coords and _element.
     """
 
     __slots__ = ("modulus", "_reduction", "_places", "_log", "_exp", "_zech", "_half")
 
     def __init__(self, spec: FieldSpec):
+        _check_order(spec.p, spec.k)
+        modulus = tuple(c % spec.p for c in spec.modulus)
+        if modulus[-1] != 1:
+            raise RangeError("modulus must be monic")
+        if not _poly_is_irreducible(modulus, spec.p):
+            raise ReducibleModulus(f"modulus {spec.modulus} is reducible over F_{spec.p}")
+        if modulus != spec.modulus:
+            spec = FieldSpec(spec.p, spec.k, modulus)
         self.spec = spec
         self.p = spec.p
         self.k = spec.k
@@ -410,7 +428,8 @@ class ExtensionField(Field):
     def _build_tables(self):
         """The log list; also sets _exp, _zech and _half.
 
-        With n = q - 1 and g the first generator of F_q^* in index order,
+        The constructor has proved the modulus irreducible, so F_q^* is
+        cyclic.  With n = q - 1 and g the first generator in index order,
         _log sends g^i to i and zero to 2n.  _exp lists g^0..g^(n-1) twice,
         then 2n + 1 zeros, so it is indexed by la + lb and by la + _half
         for any two logs, zero's included; _half is the log of -1.  _zech[i]
@@ -433,9 +452,6 @@ class ExtensionField(Field):
         log = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
-        # g of order n makes every nonzero element a unit, so m is irreducible
-        if None in log[1:] or _ring_mul(powers[-1], g, p, reduction) != unit:
-            raise ReducibleModulus(f"modulus {self.modulus} is reducible over F_{p}")
         # 1 + v adds one to the top base-p digit of v
         self._zech = [log[(v + one) % q] for v in exp]
         log[0] = 2 * n
@@ -504,38 +520,19 @@ class ExtensionField(Field):
 
 
 def make_field(spec) -> Field:
-    """Build a validated field context from a FieldSpec (or its string form)."""
+    """The field of a FieldSpec, or of its string form; the constructor checks it."""
     if isinstance(spec, str):
         spec = FieldSpec.parse(spec)
-    if not is_prime(spec.p):
-        raise NonPrimeCharacteristic(f"{spec.p} is not prime")
-    if power_exceeds(spec.p, spec.k, ORDER_CAP - 1):
-        raise OrderOverflow(f"field order {spec.p}^{spec.k} exceeds 2^63")
-    if spec.k == 1:
-        return PrimeField(spec)
-    modulus = tuple(c % spec.p for c in spec.modulus)
-    if modulus[-1] != 1:
-        raise RangeError("modulus must be monic")
-    if not _poly_is_irreducible(modulus, spec.p):
-        raise ReducibleModulus(
-            f"modulus {spec.modulus} is reducible over F_{spec.p}"
-        )
-    if modulus != spec.modulus:
-        spec = FieldSpec(spec.p, spec.k, modulus)
-    return ExtensionField(spec)
+    return (PrimeField if spec.k == 1 else ExtensionField)(spec)
 
 
 def GF(p: int, k: int = 1, modulus=None) -> Field:
-    """Convenience constructor; fills in a default modulus when k > 1."""
-    if k == 1:
-        return make_field(FieldSpec(p))
-    if not is_prime(p):
-        raise NonPrimeCharacteristic(f"{p} is not prime")
-    if power_exceeds(p, k, ORDER_CAP - 1):
-        raise OrderOverflow(f"field order {p}^{k} exceeds 2^63")
-    if modulus is None:
+    """Convenience constructor; when k > 1, fills in a default modulus once
+    p and p^k pass the constructors' check, which a scan needs."""
+    if k > 1 and modulus is None:
+        _check_order(p, k)
         modulus = DEFAULT_MODULI.get((p, k)) or find_irreducible(p, k)
-    return make_field(FieldSpec(p, k, tuple(modulus)))
+    return make_field(FieldSpec(p, k, None if modulus is None else tuple(modulus)))
 
 
 def extension_of(field: Field, e: int, work_cap: int = 10_000_000):

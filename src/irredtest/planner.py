@@ -11,13 +11,17 @@ single function on q^n points already fluctuates, both centers are first
 shifted toward each other by s(epsilon) standard deviations of the
 one-shot experiment; when the shifted values cross, no sample size works
 at this (q, n) and the plan is infeasible.
+
+Every function here that takes s defaults it to the exact quantile
+inverse_tail_quantile(epsilon); a given s must be finite and > 0, or
+RangeError is raised.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleOrder, RangeError
-from .stats import inverse_tail_quantile
+from .stats import _quantile
 
 # Planning quantile rounded to two decimals, as commonly tabulated for
 # epsilon = 0.005.  Published reference grids were produced with this
@@ -62,8 +66,7 @@ def adjusted_probabilities(q, n, epsilon, s=None):
     brackets a usable decision band only when p1 < p2.
     """
     _check_args(q, n, epsilon)
-    if s is None:
-        s = inverse_tail_quantile(epsilon)
+    s = _quantile(epsilon, s)
     try:
         points = float(q) ** n
     except OverflowError:  # q^n beyond float range: the adjustment is 0
@@ -110,8 +113,7 @@ def required_N(p1: float, p2: float, epsilon: float, s=None) -> int:
         raise RangeError(f"probabilities outside (0, 1): {p1}, {p2}")
     if p1 >= p2:
         raise InfeasibleOrder(f"no sample size separates p1={p1} >= p2={p2}")
-    if s is None:
-        s = inverse_tail_quantile(epsilon)
+    s = _quantile(epsilon, s)
     rhs = s * (math.sqrt(p1 * (1.0 - p1)) + math.sqrt(p2 * (1.0 - p2))) / (p2 - p1)
     value = rhs * rhs
     nearest = round(value)
@@ -125,8 +127,7 @@ def required_N(p1: float, p2: float, epsilon: float, s=None) -> int:
 def plan_test(q: int, n: int, epsilon: float, s=None) -> TestPlan:
     """Full plan for one (q, n): adjusted centers, N, decision threshold."""
     _check_args(q, n, epsilon)
-    if s is None:
-        s = inverse_tail_quantile(epsilon)
+    s = _quantile(epsilon, s)
     p1, p2 = adjusted_probabilities(q, n, epsilon, s=s)
     if p1 >= p2:
         return TestPlan(
@@ -166,8 +167,7 @@ def estimate_N_bound(q: int, n: int, epsilon: float, s=None):
         raise RangeError(f"need at least one variable, got {n}")
     if not 0 < epsilon < 0.5:
         raise RangeError(f"epsilon must be in (0, 1/2), got {epsilon}")
-    if s is None:
-        s = inverse_tail_quantile(epsilon)
+    s = _quantile(epsilon, s)
     denom = q - 1.0 - 2.0 * s * float(q) ** (-(n - 2) / 2.0)
     if denom <= 0:
         return None

@@ -37,9 +37,12 @@ class NormalApprox:
     sd: float
 
     def central_interval(self, epsilon: float, s: float = None):
-        """Symmetric interval with tail mass epsilon on each side."""
-        if s is None:
-            s = inverse_tail_quantile(epsilon)
+        """Symmetric interval with tail mass epsilon on each side.
+
+        s defaults to inverse_tail_quantile(epsilon); a given s must be
+        finite and > 0.
+        """
+        s = _quantile(epsilon, s)
         return ConfidenceInterval(
             estimate=self.mean, half_width=s * self.sd, level=1 - 2 * epsilon
         )
@@ -211,6 +214,16 @@ def inverse_tail_quantile(epsilon: float) -> float:
     if not 0 < epsilon <= 0.5:
         raise RangeError(f"tail mass must be in (0, 1/2], got {epsilon}")
     return 0.0 - NormalDist().inv_cdf(epsilon)  # 0.0, not -0.0, at 1/2
+
+
+def _quantile(epsilon: float, s) -> float:
+    """inverse_tail_quantile(epsilon) when s is None, else s, which must be
+    finite and > 0."""
+    if s is None:
+        return inverse_tail_quantile(epsilon)
+    if not 0 < s < math.inf:
+        raise RangeError(f"quantile s must be finite and > 0, got {s}")
+    return s
 
 
 def wald_interval(k: int, n_samples: int, epsilon: float) -> ConfidenceInterval:

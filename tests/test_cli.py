@@ -304,6 +304,51 @@ def test_run_extension_field_counts_are_pinned(capsys, argv, want):
     assert code == (3 if want[2] else 0)
 
 
+@pytest.mark.parametrize(
+    "argv, want, want_code",
+    [
+        # a sampled verdict at the compat plan, from lane-packed Philox batches
+        (["--poly", "x1*x2 + x3", "-q", "7", "-n", "3", "--compat-s258", "--seed", "1"],
+         (28373, 4056), 0),
+        # about half the words are rejected over GF(2147483659)
+        (["--poly", "x1^1073741829*x2^1073741829 - 1", "-q", "2147483659", "-n", "2",
+          "-N", "2000", "--seed", "1"], (2000, 1007), 0),
+        # points of 10 coordinates take 3 blocks each
+        (["--fixture", "singular", "-q", "3", "--ext-bound", "2", "-N", "300", "--seed", "1"],
+         (300, 118), 0),
+        (["--poly", "x1*x2*x3*x4*x5*x6*x7*x8*x9*x10 + x1 + 2", "-q", "3", "-n", "10",
+          "-N", "3000", "--seed", "4"], (3000, 1041), 0),
+        # trap fixtures from bulk coefficient draws, through the value table
+        (["--fixture", "trap", "-q", "7", "--fixture-seed", "3", "--exact"], (2401, 605), 0),
+        (["--fixture", "trap", "-q", "13", "--fixture-seed", "3", "--exact"], (28561, 2165), 0),
+        # mod 7 the trap is caught as reducible, mod 11 it is kept
+        (["--fixture", "trap", "-q", "7", "--fixture-seed", "3", "--compat-s258", "--seed", "5"],
+         (647, 161), 3),
+        (["--fixture", "trap", "-q", "11", "--fixture-seed", "3", "--compat-s258",
+          "--seed", "5"], (634, 62), 0),
+        # the parser merges meeting terms and drops zero sums, over F_7 and GF(9)
+        (["--poly", "(x1 + 1)*(x1 - 1) - x1^2 + 1", "-q", "7", "-n", "1", "--exact"],
+         (7, 7), 0),
+        (["--poly", "0*x1*(x2 + 1) + (x1 - x1)*x2 + x2*(x1 + {0,1})", "--field", "3^2:1,0,1",
+          "-n", "2", "--exact"], (81, 17), 0),
+        # every GF(2) cubic form through the lane-packed singular probe
+        (["--fixture", "singular", "-q", "2", "--ext-bound", "4", "--exact"], (1024, 688), 0),
+        # every GF(3) conic through the GF(9) stage
+        (["--fixture", "singular", "-q", "3", "-d", "2", "--ext-bound", "2", "--exact"],
+         (729, 261), 0),
+        # GF(2^10), the largest field with tables
+        (["--field", "2^10:1,0,0,1,0,0,0,0,0,0,1", "--poly", "x1^3 + {0,1}*x1 + 1", "-n", "1",
+          "--exact"], (1024, 3), 0),
+    ],
+)
+def test_run_console_counts_are_pinned(capsys, argv, want, want_code):
+    # the console-script pins, run in process
+    code, out, _ = run_cli(capsys, "run", *argv)
+    payload = json.loads(out)
+    assert (payload["N"], payload["k"]) == want
+    assert code == want_code
+
+
 def test_run_epsilon_out_of_range(capsys):
     # the exact path checks epsilon as the sampled and planned paths do
     for extra in (["--exact"], ["-N", "10"], []):

@@ -13,6 +13,7 @@ from irredtest import (
     GF,
     NonPrimeCharacteristic,
     OrderOverflow,
+    PrimeField,
     RandomStream,
     RangeError,
     ReducibleModulus,
@@ -143,6 +144,12 @@ def test_make_field_rejects_composite_characteristic():
             make_field(FieldSpec(p))
     with pytest.raises(NonPrimeCharacteristic):
         GF(4, 2)
+    # the constructor checks p itself: Z/4 would give inv(2) == 2 * 2 == 0
+    with pytest.raises(NonPrimeCharacteristic):
+        PrimeField(FieldSpec(4))
+    # p is checked before the modulus is reduced mod p
+    with pytest.raises(NonPrimeCharacteristic):
+        ExtensionField(FieldSpec(0, 2, (1, 0, 1)))
 
 
 def test_make_field_rejects_reducible_modulus():
@@ -157,11 +164,18 @@ def test_make_field_rejects_reducible_modulus():
 def test_make_field_rejects_non_monic():
     with pytest.raises(RangeError):
         make_field(FieldSpec(5, 2, (2, 0, 3)))
+    with pytest.raises(RangeError):
+        ExtensionField(FieldSpec(5, 2, (2, 0, 3)))
+    # a prime field takes no modulus, from GF as from FieldSpec
+    with pytest.raises(RangeError):
+        GF(7, 1, (0, 1))
 
 
 def test_order_overflow():
     with pytest.raises(OrderOverflow):
         make_field(FieldSpec(18446744073709551557))  # prime, >= 2^63
+    with pytest.raises(OrderOverflow):
+        PrimeField(FieldSpec(18446744073709551557))
     with pytest.raises(OrderOverflow):
         GF(2, 64)
     with pytest.raises(OrderOverflow):
@@ -366,6 +380,10 @@ def test_tables_refuse_a_reducible_modulus():
     # x^8 + x + 1 = (x^2 + x + 1)(x^6 + x^5 + x^3 + x^2 + 1) over F_2
     with pytest.raises(ReducibleModulus):
         ExtensionField(FieldSpec(2, 8, (1, 1, 0, 0, 0, 0, 0, 0, 1)))
+    # above TABLE_CAP too: mod x^4 over F_7, x^2 (index 49) is a zero divisor
+    assert 7**4 > TABLE_CAP
+    with pytest.raises(ReducibleModulus):
+        ExtensionField(FieldSpec(7, 4, (0, 0, 0, 0, 1)))
 
 
 def test_pickle_rebuilds_a_field_without_its_tables():

@@ -83,6 +83,9 @@ def test_required_N_floor_and_errors():
         required_N(0.0, 0.5, 0.005)
     with pytest.raises(RangeError):
         required_N(0.2, 0.4, 0.9)
+    for bad in (-2.58, 0.0, math.inf):
+        with pytest.raises(RangeError, match="quantile s must be finite and > 0"):
+            required_N(0.1, 0.5, 0.005, s=bad)
 
 
 def test_plan_anchor_cells():
@@ -143,6 +146,12 @@ def test_default_quantile_is_precise():
     compat = plan_test(11, 4, 0.005, s=COMPAT_S)
     assert compat.s == 2.58
     assert (compat.N, compat.threshold_k) == (634, 81)
+    # a given s must be finite and > 0: s=-2.58 would plan N=72 at (7, 3),
+    # s=0 N=1 with threshold 0, and s=inf would read as infeasible
+    for bad in (-2.58, 0.0, math.inf):
+        for planner in (plan_test, adjusted_probabilities):
+            with pytest.raises(RangeError, match="quantile s must be finite and > 0"):
+                planner(7, 3, 0.005, s=bad)
 
 
 def test_smaller_epsilon_needs_more_samples():
@@ -175,6 +184,9 @@ def test_estimate_N_bound():
         estimate_N_bound(17, 0, 0.005)
     with pytest.raises(RangeError, match="epsilon must be in"):
         estimate_N_bound(17, 10, 0.5)
+    for bad in (-2.58, 0.0, math.inf):
+        with pytest.raises(RangeError, match="quantile s must be finite and > 0"):
+            estimate_N_bound(17, 10, 0.005, s=bad)
 
 
 def test_estimate_N_bound_scales_linearly_in_q():

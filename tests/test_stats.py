@@ -88,6 +88,9 @@ def test_gamma_normal_approx_published_values():
     interval = approx.central_interval(0.005)
     assert abs(interval.lo - 0.0847) <= 1e-4
     assert abs(interval.hi - 0.0971) <= 1e-4
+    for bad in (-2.58, 0.0, math.inf):
+        with pytest.raises(RangeError, match="quantile s must be finite and > 0"):
+            approx.central_interval(0.005, s=bad)
 
 
 def test_product_model_parameters():
