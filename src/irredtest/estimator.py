@@ -51,14 +51,22 @@ class Verdict:
 def _points(field, n, seed, lo, hi):
     """Points lo..hi-1 of run (seed); point i depends only on (seed, i).
 
-    Point i is n draws next_below(q) from RandomStream(seed, i).  The
-    streams come in batches that already hold the blocks those draws take
-    when none is rejected: one word a draw, two when q exceeds 2^32.
+    Point i is n draws next_below(q) from RandomStream(seed, i).  A draw
+    takes a word, two when q exceeds 2^32, and is rejected at or above
+    limit = span - span % q (span 2^32 or 2^64), so the n draws take
+    words * span / limit words on average.  The streams come in batches
+    that hold ceil(words / 4) blocks a point when less than one rejected
+    word is expected, and otherwise the expected words in blocks, rounded
+    up, and one block more, so a point seldom refills past its batch.
     """
     q = field.q
     draws = range(n)
-    words = n if q <= 1 << 32 else 2 * n
-    for stream in prefilled_streams(seed, lo, hi, -(-words // 4)):
+    span, words = (1 << 32, n) if q <= 1 << 32 else (1 << 64, 2 * n)
+    limit = span - span % q
+    blocks = -(-words // 4)
+    if words * (span % q) >= limit:
+        blocks = -(-words * span // (4 * limit)) + 1
+    for stream in prefilled_streams(seed, lo, hi, blocks):
         below = stream.next_below
         yield tuple([below(q) for _ in draws])
 

@@ -346,6 +346,8 @@ class PrimeField(Field):
     __slots__ = ()
 
     def __init__(self, spec: FieldSpec):
+        if spec.k != 1:
+            raise RangeError(f"a prime field has degree 1, got {spec.k}")
         _check_order(spec.p, 1)
         self.spec = spec
         self.p = spec.p
@@ -386,8 +388,8 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """F_p[x]/(m) for a monic irreducible m of degree k > 1.
 
-    The constructor checks p and p^k, then m reduced mod p, which its spec
-    keeps: monic, and irreducible by Ben-Or's test.  Up to TABLE_CAP
+    The constructor checks k > 1, p and p^k, then m reduced mod p, which its
+    spec keeps: monic, and irreducible by Ben-Or's test.  Up to TABLE_CAP
     elements, arithmetic runs on tables built when the field is made; above
     it, _log is [] and arithmetic runs on coordinates: sums digit by digit,
     products and inverses by the schoolbook helpers, via _coords and _element.
@@ -396,6 +398,8 @@ class ExtensionField(Field):
     __slots__ = ("modulus", "_reduction", "_places", "_log", "_exp", "_zech", "_half")
 
     def __init__(self, spec: FieldSpec):
+        if spec.k < 2:
+            raise RangeError(f"an extension field has degree > 1, got {spec.k}")
         _check_order(spec.p, spec.k)
         modulus = tuple(c % spec.p for c in spec.modulus)
         if modulus[-1] != 1:

@@ -4,20 +4,15 @@ Draw number i of a given stream is a pure function of (seed, stream, i),
 so disjoint index ranges can be generated independently and the merged
 result is identical to a single sequential pass.  The generator is
 fixed: changing it would silently change every sampled experiment.
+Every block, of a point batch or of a stream's refill, comes from
+_blocks and its one lane-packed philox4x32 call, which computes the
+round keys on each call.
 """
 
 import sys
 from array import array
 
 from .errors import RangeError
-
-# (key0, key1) -> the round keys (a0, b0, ..., a9, b9) of a one-lane block.
-# A run keys every block with its one seed, so one entry serves it; the cap
-# bounds callers that cycle through many seeds.  An entry is a function of
-# its key, so sharing the memo across callers and threads changes no
-# output.  Lane-packed keys are not kept: they are as large as the batch.
-_SCHEDULES = {}
-_SCHEDULES_MAX = 64
 
 # prefilled_streams computes the first blocks of at most BATCH consecutive
 # streams per batch, and of at most _BATCH_BLOCKS blocks in all, so a point
@@ -43,13 +38,6 @@ def _round_keys(key0, key1, ones, m):
     return keys
 
 
-def _key_schedule(key0, key1):
-    if len(_SCHEDULES) >= _SCHEDULES_MAX:
-        _SCHEDULES.clear()
-    _SCHEDULES[key0, key1] = keys = tuple(_round_keys(key0, key1, 1, 0xFFFFFFFF))
-    return keys
-
-
 def philox4x32(key0, key1, c0, c1, c2, c3, lanes=1):
     """Apply one 10-round Philox 4x32 block in each of `lanes` lanes.
 
@@ -60,19 +48,14 @@ def philox4x32(key0, key1, c0, c1, c2, c3, lanes=1):
     c0 by 0xD2511F53 and c2 by 0xCD9E8D57 and mixes the high and low
     halves with the round key.  A 32x32-bit product fits its lane and
     every `>> 32` is masked to the low half of each lane, so no bit
-    crosses from one lane to another.  The rounds are written out and the
-    constants are literals: in CPython that runs about 1.6 times as fast
-    as a loop over the rounds.
+    crosses from one lane to another.  The round keys are computed on
+    every call; the rounds are written out with literal constants.
     """
-    if lanes == 1:
-        keys = _SCHEDULES.get((key0, key1)) or _key_schedule(key0, key1)
-        m = 0xFFFFFFFF
-    elif lanes > 1:
-        ones = _lane_ones(lanes)
-        m = 0xFFFFFFFF * ones
-        keys = _round_keys(key0, key1, ones, m)
-    else:
+    if lanes < 1:
         raise RangeError(f"need at least one lane, got {lanes}")
+    ones = _lane_ones(lanes)
+    m = 0xFFFFFFFF * ones
+    keys = _round_keys(key0, key1, ones, m)
     a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8, a9, b9 = keys
     p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
     c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a0, r & m, (p >> 32 & m) ^ c3 ^ b0, p & m
@@ -102,12 +85,11 @@ class RandomStream:
 
     Within a stream, 32-bit words are consumed in block order; each block
     is philox4x32(seed_lo, seed_hi, block_lo, block_hi, stream_lo, stream_hi).
-    A refill computes the next `_lanes` blocks in one lane-packed call, and
+    A refill computes the next `_lanes` blocks in one _blocks call, and
     `_lanes` doubles with each refill up to BATCH (1, 2, 4, ...), so a
     stream that draws a few words computes a block or two and a long one
-    pays for few calls.  `_lanes` 0 means one block and then one more
-    before the doubling starts; prefilled_streams sets it.  below_many
-    raises `_lanes` to the blocks it still needs before a refill.
+    pays for few calls.  below_many raises `_lanes` to the blocks it still
+    needs before a refill.
     """
 
     __slots__ = ("seed", "stream", "_block", "_lanes", "_words")
@@ -120,25 +102,12 @@ class RandomStream:
         self._words = []
 
     def _refill(self):
-        seed, stream, block, lanes = self.seed, self.stream, self._block, self._lanes
-        if lanes < 2:
-            self._block = block + 1
-            self._lanes = lanes + 1
-            w0, w1, w2, w3 = philox4x32(
-                seed & 0xFFFFFFFF,
-                seed >> 32,
-                block & 0xFFFFFFFF,
-                (block >> 32) & 0xFFFFFFFF,
-                stream & 0xFFFFFFFF,
-                stream >> 32,
-            )
-            self._words = [w3, w2, w1, w0]  # pop() consumes w0 first
-            return
+        block, lanes = self._block, self._lanes
         self._block = block + lanes
         self._lanes = min(2 * lanes, BATCH)
-        # lane j counts block + j, wrapping mod 2^64 like a one-lane block
+        # lane j counts block + j, wrapping mod 2^64
         counters = _pack([(block + j) & 0xFFFFFFFFFFFFFFFF for j in range(lanes)])
-        words = _blocks(seed, counters, stream * _lane_ones(lanes), lanes)
+        words = _blocks(self.seed, counters, self.stream * _lane_ones(lanes), lanes)
         words.reverse()  # blocks in order, w0 to w3 each; pop() takes the first w0 first
         self._words = words
 
@@ -240,8 +209,8 @@ def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
     one) of every stream in it come from one _blocks call, stream by stream
     and block by block.  A stream holds those words and goes on from block
     `blocks`, so every draw it makes, rejections included, is the draw a
-    fresh stream would make.  It refills only for rejected words, so its
-    first two refills take one block each, as a rejection mostly needs.
+    fresh stream would make.  Its refills double from one block, as a
+    fresh stream's do.
     """
     seed &= 0xFFFFFFFFFFFFFFFF
     blocks = max(blocks, 1)
@@ -264,6 +233,6 @@ def prefilled_streams(seed: int, lo: int, hi: int, blocks: int):
             stream.seed = seed
             stream.stream = i & 0xFFFFFFFFFFFFFFFF
             stream._block = blocks
-            stream._lanes = 0
+            stream._lanes = 1
             stream._words = words[at : at + size]
             yield stream

@@ -339,6 +339,9 @@ def test_run_extension_field_counts_are_pinned(capsys, argv, want):
         # GF(2^10), the largest field with tables
         (["--field", "2^10:1,0,0,1,0,0,0,0,0,0,1", "--poly", "x1^3 + {0,1}*x1 + 1", "-n", "1",
           "--exact"], (1024, 3), 0),
+        # about a third of the 64-bit draws are rejected over GF(6148914691236517223)
+        (["--poly", "x1^3074457345618258611*x2^3074457345618258611 - 1",
+          "-q", "6148914691236517223", "-n", "2", "-N", "2000", "--seed", "1"], (2000, 973), 0),
     ],
 )
 def test_run_console_counts_are_pinned(capsys, argv, want, want_code):

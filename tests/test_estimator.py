@@ -72,6 +72,11 @@ def test_sample_points_deterministic_and_stream_addressed():
         (3, 2, 3, "d73f7ccb405041c07db71963e5703dc63c7f2fdb0618ed949157830153f43abd"),
         (2, 1, 10, "97115cb956b37e95d519e6cadfea06d2076c81d2cdbc96ff36d1d7f2dd0d4aab"),
         (10000019, 1, 2, "038c6a54b523447ba1984451af2c2e320d0cf8ef0caf45655ca533bbfe1cea9d"),
+        # about half the 32-bit words are rejected
+        (2147483659, 1, 2, "ff27358a014a3330f519afa3ed137a6d5f6d33665235bc5fbed44ffa3bdf83ef"),
+        # about a third of the 64-bit draws are rejected
+        (6148914691236517223, 1, 2,
+         "e981a7f0df913aba4a12e9b831c17163ec022b9c54d0eed074fddb060d0d75d2"),
     ],
 )
 def test_sample_points_are_frozen(p, k, n, digest):
@@ -243,6 +248,33 @@ def _points_one_stream_each(field, n, seed, lo, hi):
 )
 def test_points_equal_one_stream_per_index(field, n, seed, lo, hi):
     assert list(_points(field, n, seed, lo, hi)) == _points_one_stream_each(field, n, seed, lo, hi)
+
+
+def test_points_prefill_the_blocks_their_draws_expect(monkeypatch):
+    # a batch is one philox4x32 call with a lane per (stream, block); the
+    # kernel is looked up at call time, so the spy sees every call
+    seen = []
+    kernel = rng.philox4x32
+
+    def spy(*args):
+        seen.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(rng, "philox4x32", spy)
+    batches = 20
+    count = batches * rng.BATCH
+    # hardly a word is rejected: one block per four draws, and no refill
+    for q, n in ((7, 3), (7, 4), (13, 3), (13, 4)):
+        seen.clear()
+        assert len(list(_points(GF(q), n, 5, 0, count))) == count
+        assert seen == [rng.BATCH * -(-n // 4)] * batches
+    # about half the words are rejected: two blocks a point, and a refill,
+    # which starts with one block, for at most 5% of the points
+    seen.clear()
+    assert len(list(_points(GF(2147483659), 2, 5, 0, count))) == count
+    assert seen.count(2 * rng.BATCH) == batches
+    assert max(seen) == 2 * rng.BATCH
+    assert seen.count(1) <= count // 20
 
 
 def test_count_zeros_range_rejects_bad_ranges():

@@ -150,6 +150,12 @@ def test_make_field_rejects_composite_characteristic():
     # p is checked before the modulus is reduced mod p
     with pytest.raises(NonPrimeCharacteristic):
         ExtensionField(FieldSpec(0, 2, (1, 0, 1)))
+    # each constructor checks the degree first: a prime field of GF(3, 2)'s
+    # spec would equal GF(3, 2), and an extension of degree 1 has no modulus
+    with pytest.raises(RangeError, match="degree 1, got 2"):
+        PrimeField(FieldSpec(3, 2, (1, 0, 1)))
+    with pytest.raises(RangeError, match="degree > 1, got 1"):
+        ExtensionField(FieldSpec(3))
 
 
 def test_make_field_rejects_reducible_modulus():

@@ -54,7 +54,7 @@ def test_word_stream_regression():
 @example(0, 0, 0, 0, 0, 0)
 @example(*[0xFFFFFFFF] * 6)
 def test_philox_matches_the_loop_over_rounds(key0, key1, c0, c1, c2, c3):
-    # twice: the first call may build the key schedule, the second reuses it
+    # twice: a call leaves no state behind that could change the next one
     want = naive_philox(key0, key1, c0, c1, c2, c3)
     assert philox4x32(key0, key1, c0, c1, c2, c3) == want
     assert philox4x32(key0, key1, c0, c1, c2, c3) == want
@@ -86,23 +86,6 @@ def test_lane_count_must_be_positive():
     for lanes in (0, -3):
         with pytest.raises(RangeError):
             philox4x32(0, 0, 0, 0, 0, 0, lanes)
-
-
-def test_key_schedule_memo_stays_small():
-    # one schedule per distinct key pair, so a caller cycling through many
-    # seeds must not grow the memo without bound
-    for key in range(500):
-        assert philox4x32(key, 1, 2, 3, 4, 5) == naive_philox(key, 1, 2, 3, 4, 5)
-    assert len(rng._SCHEDULES) <= rng._SCHEDULES_MAX
-    # lane-packed keys are as large as the batch and never kept, so batches
-    # over many seeds leave the memo as it was
-    kept = dict(rng._SCHEDULES)
-    for key in range(200):
-        out = philox4x32(_pack([key] * 40), _pack([1] * 40), 0, 0, _pack(range(40)), 0, 40)
-        assert _lane(out[0], 39) == naive_philox(key, 1, 0, 0, 39, 0)[0]
-        for stream in rng.prefilled_streams(key, 0, 300, 1):
-            stream.next_u32()
-    assert rng._SCHEDULES == kept
 
 
 @pytest.mark.parametrize(
@@ -310,20 +293,16 @@ OPS = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(-(2**64), 2**65), st.integers(0, 2**64 - 1), START, st.sampled_from([0, 1]), OPS
-)
+@given(st.integers(-(2**64), 2**65), st.integers(0, 2**64 - 1), START, OPS)
 # past the doublings (511 blocks) and then across BATCH-lane refills, over
 # the 2^32 carry into the high counter word and the 2^64 wrap
-@example(7, 1 << 32, 2**32 - 700, 1, [("u32", 3500), ("below", 2**31 + 5), ("u64", 3)])
-@example(-1, 2**64 - 1, 2**64 - 900, 0, [("below", 2**63), ("u32", 3500), ("below", 7)])
-def test_refills_hand_out_the_one_block_words(seed, stream, start, lanes, ops):
+@example(7, 1 << 32, 2**32 - 700, [("u32", 3500), ("below", 2**31 + 5), ("u64", 3)])
+@example(-1, 2**64 - 1, 2**64 - 900, [("below", 2**63), ("u32", 3500), ("below", 7)])
+def test_refills_hand_out_the_one_block_words(seed, stream, start, ops):
     # however long the refills grow, a stream pops the words of its blocks
-    # in order, rejections included, as one block per refill would; lanes
-    # 0 is how a prefilled stream starts
+    # in order, rejections included, as one block per refill would
     rs = RandomStream(seed, stream)
     rs._block = start
-    rs._lanes = lanes
     ref = _OneBlockStream(seed, stream, start)
     for op, arg in ops:
         assert _draw(rs, op, arg) == _draw(ref, op, arg)
@@ -348,19 +327,18 @@ def test_refills_double_up_to_a_batch(monkeypatch):
     assert seen[: batch.bit_length()] == [1 << j for j in range(batch.bit_length())]
     assert max(seen) == batch
     assert len(seen) <= batch.bit_length() + -(-words // (4 * batch))
-    # a prefilled stream refills for rejected words, which mostly need a
-    # block: its first two refills are one lane each, then it doubles
+    # a prefilled stream refills as a fresh one does: one lane, then doubling
     (stream,) = rng.prefilled_streams(11, 5, 6, 2)
     for _ in range(8):
         stream.next_u32()
     seen.clear()
-    for _ in range(4 * 7):
+    for _ in range(4 * 15):
         stream.next_u32()
-    assert seen == [1, 1, 2, 4]
+    assert seen == [1, 2, 4, 8]
 
 
 def _stream_at(seed, stream, start, lanes):
-    if lanes is None:  # a prefilled stream: `_lanes` 0 and its first 2 blocks held
+    if lanes is None:  # a prefilled stream: its first 2 blocks held
         (rs,) = rng.prefilled_streams(seed, stream, stream + 1, 2)
         return rs
     rs = RandomStream(seed, stream)
@@ -379,7 +357,7 @@ MANY_BOUND = st.sampled_from([1, 3, 19, 2**31 + 5, 2**32, 2**40 + 3, 2**63])
     st.integers(-(2**64), 2**65),
     st.integers(0, 2**64 - 1),
     st.sampled_from([0, 2**32 - 5, 2**64 - 40]),
-    st.sampled_from([None, 0, 1]),
+    st.sampled_from([None, 1]),
     MANY_BOUND,
     st.lists(st.integers(0, 1500), max_size=4),
 )
