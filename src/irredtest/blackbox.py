@@ -6,6 +6,9 @@ interface, so explicit polynomials, determinantal loci and discriminant
 style constructions all plug into the same estimator.
 """
 
+import sys
+from array import array
+
 from .errors import (
     ArityMismatch,
     EmptyList,
@@ -272,13 +275,16 @@ def _build_stage(field, e, mons, work_cap, packed):
     """Tables of the degree-e extension E for singular_curve_bb.
 
     For every projective point over E and every degree-d monomial
-    x^a y^b z^c in `mons` the entry is (value, a*x^(a-1)*y^b*z^c,
-    b*x^a*y^(b-1)*z^c, c*x^a*y^b*z^(c-1)).  Each is one degree-(d-1)
-    monomial value: times a coordinate for the value, times (a mod p) for
-    a partial factor, which is zero when p divides a.  Returns (E, rows,
-    scalars), scalars[c] being the image of c in E, or if `packed` (F_2:
-    addition XORs elements) (columns, low, high): column j is one int whose
-    lane i, W = ceil(4*bits/8) bytes for bits = (E.q-1).bit_length(), is
+    x^a y^b z^c in `mons` the entries are the value and the partials
+    a*x^(a-1)*y^b*z^c, b*x^a*y^(b-1)*z^c and c*x^a*y^b*z^(c-1).  Each is one
+    degree-(d-1) monomial value: times a coordinate for the value, times
+    (a mod p) for a partial factor, which is zero when p divides a.
+    Returns (E, rows, scalars): rows holds per point four tuples indexed by
+    monomial, (values, x partials, y partials, z partials), and scalars[c]
+    is the image of c in E.  If `packed` (F_2: addition XORs elements) it
+    returns (columns, low, high) instead: column j is one int whose lane i,
+    an array item of W bytes with W the smallest item size holding
+    4*bits for bits = (E.q-1).bit_length(), is
     value | dx << bits | dy << 2*bits | dz << 3*bits; low has a 1 per lane,
     high = low << (8W-1).
     """
@@ -305,7 +311,7 @@ def _build_stage(field, e, mons, work_cap, packed):
             pows.append(row)
         px, py, pz = pows
         vals = [E.mul(E.mul(px[a], py[b]), pz[c]) for a, b, c in below]
-        row = []
+        entries = []
         for first, lowered, scales in recipes:
             entry = [E.mul(vals[lowered[first]], pt[first])]
             for j, s in zip(lowered, scales):
@@ -313,19 +319,18 @@ def _build_stage(field, e, mons, work_cap, packed):
                     entry.append(zero)
                 else:
                     entry.append(vals[j] if s == one else E.mul(s, vals[j]))
-            row.append(entry)
-        rows.append(row)
+            entries.append(entry)
+        rows.append(entries)
     if packed:
         bits = (E.q - 1).bit_length()
-        width = (4 * bits + 7) // 8
-        lanes = [[sum(v << t * bits for t, v in enumerate(x)) for x in row] for row in rows]
-        columns = [
-            int.from_bytes(b"".join(v.to_bytes(width, "little") for v in col), "little")
-            for col in zip(*lanes)
-        ]
-        low = int.from_bytes(b"\1".ljust(width, b"\0") * len(rows), "little")
-        return columns, low, low << (8 * width - 1)
-    return E, rows, [embed(a) for a in field.elements()]
+        code = next(t for t in "BHILQ" if array(t).itemsize * 8 >= 4 * bits)
+        lanes = [[v | dx << bits | dy << 2 * bits | dz << 3 * bits for v, dx, dy, dz in row]
+                 for row in rows]
+        columns = [int.from_bytes(array(code, col), sys.byteorder) for col in zip(*lanes)]
+        one = array(code, [1])
+        low = int.from_bytes(one * len(rows), sys.byteorder)
+        return columns, low, low << (8 * one.itemsize - 1)
+    return E, [tuple(zip(*row)) for row in rows], [embed(a) for a in field.elements()]
 
 
 def _has_zero_lane(acc, low, high):
@@ -343,9 +348,12 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
     over some extension of degree e <= ext_bound; intersection bounds put
     every singular point of a degree-d curve within degree (d-1)^2, which is
     the default bound.  The zero form counts as singular.  Points are scanned
-    over the smallest extensions first, one _build_stage table per extension;
-    over F_2 a probe XORs packed columns and asks _has_zero_lane, else it
-    sums weighted table rows.
+    over the smallest extensions first, one _build_stage table per extension.
+    Over F_2 a probe XORs the packed columns of a stage and asks
+    _has_zero_lane, leaving at the first stage with a zero lane.  Over any
+    other field it sums, point by point, the coefficient-weighted value
+    tuple with E.mul and E.add, then each partial's tuple only while every
+    sum so far is zero; most points leave after f's value.
     work_cap bounds both q^(3*ext_bound) and the stage tables: one entry per
     monomial and projective point, that is
     m * sum(q^(2e) + q^e + 1 for e <= ext_bound) with m = (d+1)(d+2)/2.
@@ -367,8 +375,12 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
         raise UnsupportedSize(
             f"stage tables of {m} monomials x {points} points exceed the work cap {work_cap}"
         )
-    mons = ternary_monomials(d)
     packed = q == 2
+    if packed and ext_bound > 16:
+        raise UnsupportedSize(
+            f"over GF(2) a lane holds four elements in 64 bits: need ext_bound <= 16, got {ext_bound}"
+        )
+    mons = ternary_monomials(d)
     stages = [_build_stage(field, e, mons, work_cap, packed) for e in range(1, ext_bound + 1)]
 
     def probe(coeffs):
@@ -388,14 +400,14 @@ def singular_curve_bb(d: int, field: Field, ext_bound=None, work_cap=10_000_000)
             emul, eadd = E.mul, E.add
             weights = [(j, scalars[c]) for j, c in active]
             for row in rows:
-                s0 = s1 = s2 = s3 = ezero
-                for j, w in weights:
-                    v0, v1, v2, v3 = row[j]
-                    s0 = eadd(s0, emul(w, v0))
-                    s1 = eadd(s1, emul(w, v1))
-                    s2 = eadd(s2, emul(w, v2))
-                    s3 = eadd(s3, emul(w, v3))
-                if s0 == ezero and s1 == ezero and s2 == ezero and s3 == ezero:
+                # the value first: most points leave at its nonzero sum
+                for col in row:
+                    s = ezero
+                    for j, w in weights:
+                        s = eadd(s, emul(w, col[j]))
+                    if s != ezero:
+                        break
+                else:
                     return True
         return False
 

@@ -440,6 +440,9 @@ F2_SINGULAR_DIGESTS = {
     (3, 2): (680, "c7c33a5d0bc3304f2ef0117d5cc69d006ae0971a39c553d33394e97e0c76f4e0"),
     (3, 4): (688, "11e67c845d3e1060ffea202a0c3798e0fa57567f09ad7e42d4f71305c62797b2"),
 }
+# every singular point of a cubic lies within degree (3-1)^2 = 4, so larger
+# bounds add no answer; their 20- and 24-bit lanes are 4-byte array items
+F2_SINGULAR_DIGESTS[3, 5] = F2_SINGULAR_DIGESTS[3, 6] = F2_SINGULAR_DIGESTS[3, 4]
 
 
 @pytest.mark.parametrize("d, ext_bound", sorted(F2_SINGULAR_DIGESTS))
@@ -485,6 +488,10 @@ SAMPLED_SINGULAR_DIGESTS = {
     ),
     "GF(4) cubics": (
         GF(2, 2), 3, 100, 38, "523c477d3dc64fc07d4629153722b44286b6e8314de7adf72e8ee951303973f0"
+    ),
+    # the value-first sums through a GF(25) stage
+    "GF(5) cubics": (
+        F5, 3, 60, 19, "10c468bb30719ab537002592611d84379f43cd5080e80f0d3dd63e66fecb7765"
     ),
 }
 
@@ -554,6 +561,9 @@ def test_singular_work_cap():
         singular_curve_bb(10_000, F2, ext_bound=1)
     with pytest.raises(UnsupportedSize):
         singular_curve_bb(3, F3, ext_bound=30_000_000)
+    # GF(2) lanes are array items of at most 64 bits: four 16-bit elements
+    with pytest.raises(UnsupportedSize, match="ext_bound <= 16"):
+        singular_curve_bb(3, F2, ext_bound=17, work_cap=2**60)
     assert time.perf_counter() - start < 1.0
     with pytest.raises(RangeError):
         singular_curve_bb(0, F2)

@@ -342,6 +342,9 @@ def test_run_extension_field_counts_are_pinned(capsys, argv, want):
         # about a third of the 64-bit draws are rejected over GF(6148914691236517223)
         (["--poly", "x1^3074457345618258611*x2^3074457345618258611 - 1",
           "-q", "6148914691236517223", "-n", "2", "-N", "2000", "--seed", "1"], (2000, 973), 0),
+        # odd-p cubics through a GF(25) stage: the value first, partials where it is zero
+        (["--fixture", "singular", "-q", "5", "-d", "3", "--ext-bound", "2", "-N", "60",
+          "--seed", "1"], (60, 19), 0),
     ],
 )
 def test_run_console_counts_are_pinned(capsys, argv, want, want_code):
