@@ -262,7 +262,12 @@ def _poly_is_irreducible(coeffs, p):
 
 
 def find_irreducible(p: int, k: int) -> tuple:
-    """Smallest monic irreducible of degree k over F_p in the scan order below."""
+    """Smallest monic irreducible of degree k over F_p in the scan order below.
+
+    p must be prime and p^k below 2^63, checked before any scan."""
+    if k < 1:
+        raise RangeError(f"extension degree must be >= 1, got {k}")
+    _check_order(p, k)
     if k == 1:
         return (0, 1)
     for idx in range(p ** k):
@@ -531,10 +536,9 @@ def make_field(spec) -> Field:
 
 
 def GF(p: int, k: int = 1, modulus=None) -> Field:
-    """Convenience constructor; when k > 1, fills in a default modulus once
-    p and p^k pass the constructors' check, which a scan needs."""
+    """Convenience constructor; when k > 1, fills in a default modulus.
+    find_irreducible or the constructor checks p and p^k."""
     if k > 1 and modulus is None:
-        _check_order(p, k)
         modulus = DEFAULT_MODULI.get((p, k)) or find_irreducible(p, k)
     return make_field(FieldSpec(p, k, None if modulus is None else tuple(modulus)))
 

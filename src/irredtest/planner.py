@@ -20,7 +20,8 @@ RangeError is raised.
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleOrder, RangeError
+from .errors import InfeasibleOrder, OrderOverflow, RangeError
+from .fields import ORDER_CAP
 from .stats import _quantile
 
 # Planning quantile rounded to two decimals, as commonly tabulated for
@@ -52,6 +53,8 @@ class TestPlan:
 def _check_args(q, n, epsilon):
     if q < 2:
         raise RangeError(f"field order must be >= 2, got {q}")
+    if q >= ORDER_CAP:
+        raise OrderOverflow("field order must be below 2^63")
     if n < 1:
         raise RangeError(f"need at least one variable, got {n}")
     if not 0 < epsilon < 0.5:
@@ -161,12 +164,9 @@ def estimate_N_bound(q: int, n: int, epsilon: float, s=None):
     when the denominator is not positive (the estimate says nothing), and
     needs q >= 3.
     """
+    _check_args(q, n, epsilon)
     if q < 3:
         raise RangeError(f"estimate needs q >= 3, got {q}")
-    if n < 1:
-        raise RangeError(f"need at least one variable, got {n}")
-    if not 0 < epsilon < 0.5:
-        raise RangeError(f"epsilon must be in (0, 1/2), got {epsilon}")
     s = _quantile(epsilon, s)
     denom = q - 1.0 - 2.0 * s * float(q) ** (-(n - 2) / 2.0)
     if denom <= 0:

@@ -5,8 +5,8 @@ so disjoint index ranges can be generated independently and the merged
 result is identical to a single sequential pass.  The generator is
 fixed: changing it would silently change every sampled experiment.
 Every block, of a point batch or of a stream's refill, comes from
-_blocks and its one lane-packed philox4x32 call, which computes the
-round keys on each call.
+_blocks and its one lane-packed philox4x32 call, whose ten rounds are
+one loop that bumps the key after each round.
 """
 
 import sys
@@ -27,17 +27,6 @@ def _lane_ones(lanes):
     return ((1 << 64 * lanes) - 1) // 0xFFFFFFFFFFFFFFFF
 
 
-def _round_keys(key0, key1, ones, m):
-    keys = []
-    a, b = key0, key1
-    da, db = 0x9E3779B9 * ones, 0xBB67AE85 * ones
-    for _ in range(10):
-        keys += (a, b)
-        a = (a + da) & m
-        b = (b + db) & m
-    return keys
-
-
 def philox4x32(key0, key1, c0, c1, c2, c3, lanes=1):
     """Apply one 10-round Philox 4x32 block in each of `lanes` lanes.
 
@@ -45,38 +34,21 @@ def philox4x32(key0, key1, c0, c1, c2, c3, lanes=1):
     lanes (lane j is bits 64j to 64j + 63) that each hold one 32-bit word,
     so lane j of the results is the block of lane j of the arguments.
     With lanes=1 the words are plain 32-bit ints.  Each round multiplies
-    c0 by 0xD2511F53 and c2 by 0xCD9E8D57 and mixes the high and low
-    halves with the round key.  A 32x32-bit product fits its lane and
-    every `>> 32` is masked to the low half of each lane, so no bit
-    crosses from one lane to another.  The round keys are computed on
-    every call; the rounds are written out with literal constants.
+    c0 by 0xD2511F53 and c2 by 0xCD9E8D57, mixes the high and low halves
+    with the round key, then adds the Weyl constants 0x9E3779B9 and
+    0xBB67AE85 to every lane of the key.  A 32x32-bit product fits its
+    lane and every `>> 32` is masked to the low half of each lane, so no
+    bit crosses from one lane to another.
     """
     if lanes < 1:
         raise RangeError(f"need at least one lane, got {lanes}")
     ones = _lane_ones(lanes)
     m = 0xFFFFFFFF * ones
-    keys = _round_keys(key0, key1, ones, m)
-    a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8, a9, b9 = keys
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a0, r & m, (p >> 32 & m) ^ c3 ^ b0, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a1, r & m, (p >> 32 & m) ^ c3 ^ b1, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a2, r & m, (p >> 32 & m) ^ c3 ^ b2, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a3, r & m, (p >> 32 & m) ^ c3 ^ b3, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a4, r & m, (p >> 32 & m) ^ c3 ^ b4, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a5, r & m, (p >> 32 & m) ^ c3 ^ b5, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a6, r & m, (p >> 32 & m) ^ c3 ^ b6, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a7, r & m, (p >> 32 & m) ^ c3 ^ b7, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a8, r & m, (p >> 32 & m) ^ c3 ^ b8, p & m
-    p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
-    c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ a9, r & m, (p >> 32 & m) ^ c3 ^ b9, p & m
+    da, db = 0x9E3779B9 * ones, 0xBB67AE85 * ones
+    for _ in range(10):
+        p, r = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (r >> 32 & m) ^ c1 ^ key0, r & m, (p >> 32 & m) ^ c3 ^ key1, p & m
+        key0, key1 = (key0 + da) & m, (key1 + db) & m
     return c0, c1, c2, c3
 
 
@@ -194,11 +166,9 @@ def _blocks(seed, blocks, streams, lanes):
         streams >> 32 & m,
         lanes,
     )
-    table = memoryview(b"".join([w.to_bytes(8 * lanes, sys.byteorder) for w in out]))
-    table = table.cast("Q").tolist()
     words = [0] * (4 * lanes)
-    for r in range(4):
-        words[r::4] = table[r * lanes : (r + 1) * lanes]
+    for r, w in enumerate(out):
+        words[r::4] = array("Q", w.to_bytes(8 * lanes, sys.byteorder))
     return words
 
 

@@ -345,6 +345,9 @@ def test_run_extension_field_counts_are_pinned(capsys, argv, want):
         # odd-p cubics through a GF(25) stage: the value first, partials where it is zero
         (["--fixture", "singular", "-q", "5", "-d", "3", "--ext-bound", "2", "-N", "60",
           "--seed", "1"], (60, 19), 0),
+        # 64 coordinates take 16 blocks each: Philox calls of 4,096, 4,096 and 1,408 lanes
+        (["--poly", "x1*x2 + x64", "-q", "7", "-n", "64", "-N", "600", "--seed", "1"],
+         (600, 96), 0),
     ],
 )
 def test_run_console_counts_are_pinned(capsys, argv, want, want_code):
@@ -497,6 +500,7 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", str(2**64)),
         ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", "-1"),
         ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", str(2**64)),
+        ("plan", "-q", str(10**400), "-n", "2"),
     ],
 )
 def test_oversized_inputs_exit_fast(capsys, argv):

@@ -144,6 +144,15 @@ def test_make_field_rejects_composite_characteristic():
             make_field(FieldSpec(p))
     with pytest.raises(NonPrimeCharacteristic):
         GF(4, 2)
+    # find_irreducible checks p before its scan, which no composite p ends
+    start = time.perf_counter()
+    for p, k in ((4, 2), (6, 3), (9, 2)):
+        with pytest.raises(NonPrimeCharacteristic):
+            find_irreducible(p, k)
+    assert time.perf_counter() - start < 1.0
+    for k in (0, -1):
+        with pytest.raises(RangeError, match=f"extension degree must be >= 1, got {k}"):
+            find_irreducible(2, k)
     # the constructor checks p itself: Z/4 would give inv(2) == 2 * 2 == 0
     with pytest.raises(NonPrimeCharacteristic):
         PrimeField(FieldSpec(4))
@@ -184,6 +193,8 @@ def test_order_overflow():
         PrimeField(FieldSpec(18446744073709551557))
     with pytest.raises(OrderOverflow):
         GF(2, 64)
+    with pytest.raises(OrderOverflow):
+        find_irreducible(2, 64)
     with pytest.raises(OrderOverflow):
         GF(2, 10**12)  # rejected by the exponent; 2^(10^12) is never built
 

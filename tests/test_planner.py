@@ -5,6 +5,7 @@ import pytest
 from irredtest import (
     COMPAT_S,
     InfeasibleOrder,
+    OrderOverflow,
     RangeError,
     TABLE_NS,
     TABLE_QS,
@@ -114,6 +115,15 @@ def test_plan_beyond_float_range():
     assert (p1, p2) == (0.5, 0.75)
     # 2^(10^12) would not fit in memory; the plan never builds it
     assert plan_test(2, 10**12, 0.005).exceeds_point_count is False
+    # orders from 2^63 on are refused, as the field constructors refuse them,
+    # before 1.0 / q can overflow, and the message leaves q out
+    for q in (2**63, 10**400):
+        with pytest.raises(OrderOverflow, match=r"^field order must be below 2\^63$"):
+            plan_test(q, 2, 0.005)
+        with pytest.raises(OrderOverflow, match=r"^field order must be below 2\^63$"):
+            estimate_N_bound(q, 2, 0.005)
+    assert plan_test(2**63 - 1, 2, 0.005).feasible
+    assert estimate_N_bound(2**63 - 1, 2, 0.005) is not None
 
 
 def test_plan_infeasible_cells():

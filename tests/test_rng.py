@@ -235,17 +235,20 @@ def test_batches_hold_a_bounded_number_of_blocks(monkeypatch):
 
 def test_blocks_match_one_block_per_lane():
     # lane j is block (lane j of blocks) of stream (lane j of streams); the
-    # stream ids pass 2^32 and the block numbers wrap past 2^64
+    # stream ids pass 2^32 and the block numbers wrap past 2^64; the widest
+    # call, a batch of _BATCH_BLOCKS lanes, is checked lane by lane too
     seed = 2**63 + 12345
-    cases = [(s, b % 2**64) for s in (2**40 + 3, 7) for b in (2**64 - 2, 2**64 - 1, 2**64)]
-    blocks, streams = _pack([b for _, b in cases]), _pack([s for s, _ in cases])
-    words = rng._blocks(seed, blocks, streams, len(cases))
-    want = []
-    for s, b in cases:
-        want += naive_philox(
-            seed & 0xFFFFFFFF, seed >> 32, b & 0xFFFFFFFF, b >> 32, s & 0xFFFFFFFF, s >> 32
-        )
-    assert words == want
+    narrow = [(s, b % 2**64) for s in (2**40 + 3, 7) for b in (2**64 - 2, 2**64 - 1, 2**64)]
+    widest = [(2**33 + 977 * j, j) for j in range(rng._BATCH_BLOCKS)]
+    for cases in (narrow, widest):
+        blocks, streams = _pack([b for _, b in cases]), _pack([s for s, _ in cases])
+        words = rng._blocks(seed, blocks, streams, len(cases))
+        want = []
+        for s, b in cases:
+            want += naive_philox(
+                seed & 0xFFFFFFFF, seed >> 32, b & 0xFFFFFFFF, b >> 32, s & 0xFFFFFFFF, s >> 32
+            )
+        assert words == want
 
 
 class _OneBlockStream:
