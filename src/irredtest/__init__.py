@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedSize,
 )
 from .fields import (
-    DEFAULT_MODULI,
     ExtensionField,
     Field,
     FieldSpec,

@@ -24,11 +24,10 @@ from .blackbox import (
     singular_curve_bb,
     ternary_monomials,
 )
-from .errors import Error, OrderOverflow, TooLarge
+from .errors import Error, OrderOverflow, TooLarge, _shown
 from .estimator import (
     INFEASIBLE,
     LIKELY_REDUCIBLE,
-    MODE_EXACT,
     estimate_gamma,
     run_irreducibility_test,
 )
@@ -77,7 +76,7 @@ def _seed(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed outside [0, 2^64): {text!r}")
+        raise argparse.ArgumentTypeError(f"seed outside [0, 2^64): {_shown(value)!r}")
     return value
 
 
@@ -229,14 +228,11 @@ def cmd_run(args) -> int:
     if args.compat_s258 and (args.exact or args.samples is not None):
         raise _UsageError("--compat-s258 applies to planned runs, not to -N or --exact")
     bb = _run_oracle(args)
-    if args.exact:
+    if args.exact or args.samples is not None:
         report = estimate_gamma(
-            bb, 0, args.seed, epsilon=args.epsilon, mode="exact"
+            bb, args.samples or 0, args.seed, epsilon=args.epsilon,
+            mode="exact" if args.exact else "auto",
         )
-        print(_report_json(bb, args.seed, report))
-        return 0
-    if args.samples is not None:
-        report = estimate_gamma(bb, args.samples, args.seed, epsilon=args.epsilon)
         print(_report_json(bb, args.seed, report))
         return 0
     plan = plan_test(bb.field.q, bb.n, args.epsilon, s=_plan_quantile(args))
@@ -298,7 +294,7 @@ def cmd_dist(args) -> int:
             if q < 2 or args.m < 1:
                 raise _UsageError("--x-count with --m needs -q >= 2 and --m >= 1")
             if power_exceeds(q, args.m, ORDER_CAP - 1):
-                raise OrderOverflow(f"{q}^{args.m} target points exceed 2^63")
+                raise OrderOverflow(f"{_shown(q)}^{_shown(args.m)} target points exceed 2^63")
             gamma_x = Fraction(args.x_count, q**args.m)
         else:
             raise _UsageError("--kind substitution needs --gamma-x or --x-count with --m")

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and _shown for the numbers
+in their messages."""
+
+
+def _shown(n: int) -> str:
+    """n as a refusal message shows it: in digits, or past 20 digits by its
+    bit length, since the digits of a huge int are long to print and past
+    sys.get_int_max_str_digits() cannot be printed at all."""
+    if -10**20 < n < 10**20:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
 
 
 class Error(Exception):

@@ -16,10 +16,11 @@ log list indexed by element (the discrete log to a generator g), an
 antilog list and a Zech table (the log of 1 + g^i).  A product is then one
 antilog lookup at la + lb and a sum one Zech lookup, for p = 2 and odd p
 alike.  Each field object builds its own tables, from the schoolbook
-helpers below; bigger fields use those helpers throughout, as does Ben-Or's
-test, whose candidate modulus may factor.
+helpers below; bigger fields use those helpers throughout, a power as one
+_ring_pow on coordinates, as does Ben-Or's test, whose modulus may factor.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     RangeError,
     ReducibleModulus,
     UnsupportedSize,
+    _shown,
 )
 
 ORDER_CAP = 1 << 63
@@ -80,9 +82,9 @@ def is_prime(n: int) -> bool:
 def _check_order(p: int, k: int):
     """Refuse a composite p, then an order p^k of 2^63 or more, unbuilt."""
     if not is_prime(p):
-        raise NonPrimeCharacteristic(f"{p} is not prime")
+        raise NonPrimeCharacteristic(f"{_shown(p)} is not prime")
     if power_exceeds(p, k, ORDER_CAP - 1):
-        raise OrderOverflow(f"field order {p}^{k} exceeds 2^63")
+        raise OrderOverflow(f"field order {_shown(p)}^{_shown(k)} exceeds 2^63")
 
 
 @dataclass(frozen=True)
@@ -261,6 +263,7 @@ def _poly_is_irreducible(coeffs, p):
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def find_irreducible(p: int, k: int) -> tuple:
     """Smallest monic irreducible of degree k over F_p in the scan order below.
 
@@ -281,27 +284,9 @@ def find_irreducible(p: int, k: int) -> tuple:
     raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
-# Shipped defaults, reproduced by find_irreducible and re-verified at
-# construction time anyway.
-DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (2, 0, 0, 1),
-    (7, 4): (1, 1, 0, 0, 1),
-}
-
-
 class Field:
-    """Shared interface and the derived operations from_int, sub and pow;
-    add, neg, mul and inv live in the subclasses.  Operands must be
+    """Shared interface and the derived operations from_int and sub; add,
+    neg, mul, inv and pow live in the subclasses.  Operands must be
     elements, ints in [0, q): the table lookups do not check them, and
     SparsePolynomial's constructor is the checked boundary."""
 
@@ -329,17 +314,6 @@ class Field:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def pow(self, a, e: int):
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
 
     def __reduce__(self):
         # rebuilt from the spec: tables stay behind
@@ -396,8 +370,8 @@ class ExtensionField(Field):
     The constructor checks k > 1, p and p^k, then m reduced mod p, which its
     spec keeps: monic, and irreducible by Ben-Or's test.  Up to TABLE_CAP
     elements, arithmetic runs on tables built when the field is made; above
-    it, _log is [] and arithmetic runs on coordinates: sums digit by digit,
-    products and inverses by the schoolbook helpers, via _coords and _element.
+    it, _log is [] and arithmetic runs on coordinates (_coords, _element):
+    sums digit by digit, the rest by the schoolbook helpers.
     """
 
     __slots__ = ("modulus", "_reduction", "_places", "_log", "_exp", "_zech", "_half")
@@ -505,7 +479,9 @@ class ExtensionField(Field):
     def pow(self, a, e: int):
         log = self._log
         if not log:
-            return super().pow(a, e)
+            if e < 0:
+                a, e = self.inv(a), -e
+            return self._element(_ring_pow(self._coords(a), e, self.p, self._reduction))
         la = log[a]
         if la < self.q:
             return self._exp[la * e % (self.q - 1)]
@@ -536,10 +512,10 @@ def make_field(spec) -> Field:
 
 
 def GF(p: int, k: int = 1, modulus=None) -> Field:
-    """Convenience constructor; when k > 1, fills in a default modulus.
-    find_irreducible or the constructor checks p and p^k."""
+    """Convenience constructor; when k > 1 and no modulus is given, the one
+    find_irreducible(p, k) returns.  It or the constructor checks p and p^k."""
     if k > 1 and modulus is None:
-        modulus = DEFAULT_MODULI.get((p, k)) or find_irreducible(p, k)
+        modulus = find_irreducible(p, k)
     return make_field(FieldSpec(p, k, None if modulus is None else tuple(modulus)))
 
 

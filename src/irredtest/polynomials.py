@@ -591,6 +591,18 @@ _MAX_DEPTH = 100
 _MAX_ENTRIES = 1_000_000
 
 
+def _digits(text, position):
+    """int(text) for a run of ASCII digits; past sys.get_int_max_str_digits()
+    digits a PolySyntaxError at `position` instead of int's ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolySyntaxError(
+            f"integer of {len(text)} digits exceeds the limit of"
+            f" {sys.get_int_max_str_digits()}", position
+        ) from None
+
+
 def _tokenize(text):
     tokens = []  # (kind, value, position)
     i, L = 0, len(text)
@@ -607,7 +619,7 @@ def _tokenize(text):
             j = i
             while j < L and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _digits(text[i:j], i), i))
             i = j
             continue
         if ch == "x":
@@ -616,7 +628,7 @@ def _tokenize(text):
                 j += 1
             if j == i + 1:
                 raise PolySyntaxError("variable needs a numeric index", i)
-            tokens.append(("var", int(text[i + 1 : j]), i))
+            tokens.append(("var", _digits(text[i + 1 : j], i), i))
             i = j
             continue
         raise PolySyntaxError(f"unexpected character {ch!r}", i)

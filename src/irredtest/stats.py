@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress as _compress, product as _cartesian
 from statistics import NormalDist
 
-from .errors import EmptyList, OrderOverflow, RangeError, TooLarge
+from .errors import EmptyList, OrderOverflow, RangeError, TooLarge, _shown
 from .fields import ORDER_CAP, power_exceeds
 
 KIND_SINGLE = "single"
@@ -127,11 +127,11 @@ class BinomialModel:
 
 def _check_qn(q, n):
     if q < 2:
-        raise RangeError(f"field order must be >= 2, got {q}")
+        raise RangeError(f"field order must be >= 2, got {_shown(q)}")
     if n < 1:
-        raise RangeError(f"need at least one variable, got {n}")
+        raise RangeError(f"need at least one variable, got {_shown(n)}")
     if power_exceeds(q, n, ORDER_CAP - 1):
-        raise OrderOverflow(f"{q}^{n} points exceed the supported 64-bit range")
+        raise OrderOverflow(f"{_shown(q)}^{_shown(n)} points exceed the supported 64-bit range")
 
 
 def gamma_model(q: int, n: int) -> BinomialModel:
@@ -154,7 +154,7 @@ def intersection_model(q: int, n: int, x_count: int) -> BinomialModel:
     """Zeros of a uniform function restricted to a fixed set of x_count points."""
     _check_qn(q, n)
     if not 0 <= x_count <= q**n:
-        raise RangeError(f"x_count {x_count} outside [0, {q}^{n}]")
+        raise RangeError(f"x_count {_shown(x_count)} outside [0, {q}^{n}]")
     return BinomialModel(trials=x_count, success_p=Fraction(1, q))
 
 
@@ -190,14 +190,14 @@ def det_expectation(q: int, r: int, c: int) -> Fraction:
     passes DET_DENOMINATOR_CAP.
     """
     if q < 2:
-        raise RangeError(f"field order must be >= 2, got {q}")
+        raise RangeError(f"field order must be >= 2, got {_shown(q)}")
     if not 1 <= r <= c:
-        raise RangeError(f"need 1 <= rows <= cols, got {r} x {c}")
+        raise RangeError(f"need 1 <= rows <= cols, got {_shown(r)} x {_shown(c)}")
     exponent = r * c - r * (r - 1) // 2
     if power_exceeds(q, exponent, DET_DENOMINATOR_CAP):
         raise TooLarge(
-            f"{r} x {c} over F_{q}: the denominator {q}^{exponent} passes"
-            f" 2^{DET_DENOMINATOR_CAP.bit_length() - 1}"
+            f"{_shown(r)} x {_shown(c)} over F_{_shown(q)}: the denominator"
+            f" {_shown(q)}^{_shown(exponent)} passes 2^{DET_DENOMINATOR_CAP.bit_length() - 1}"
         )
     full = Fraction(1)
     for i in range(r):

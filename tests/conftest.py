@@ -8,6 +8,23 @@ loop instead of the unrolled block.
 
 import itertools
 
+# The moduli GF(p, k) takes, from find_irreducible's scan.  Element indices,
+# and so every extension-field digest and pin, depend on them.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+}
+
 
 def naive_eval(poly, point):
     """Term-by-term evaluation with repeated multiplication only."""

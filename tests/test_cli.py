@@ -10,6 +10,8 @@ import pytest
 import irredtest
 from irredtest.cli import _build_parser, main
 
+from console_pins import EXTENSION_PINS, PINS, check
+
 MATRIX_2X2 = "2 2 4 2\nx1\nx2\nx3\nx4\n"
 
 RUN_KEYS = ["q", "n", "N", "k", "p_hat", "half_width", "mode", "seed", "elapsed"]
@@ -282,80 +284,19 @@ def test_run_fixture_singular(capsys):
     assert payload["N"] == 200
 
 
-@pytest.mark.parametrize(
-    "argv, want",
-    [
-        (["--field", "2^4:1,1,0,0,1", "--poly", "x1*x2 + {0,1}*x3^3 + {1,1}", "-n", "3",
-          "--exact"], (4096, 288, None)),
-        # GF(7^4) is above TABLE_CAP, so these two run on schoolbook arithmetic
-        (["--field", "7^4:1,1,0,0,1", "--poly", "x1^3+{0,1}", "-n", "1", "--exact"],
-         (2401, 3, None)),
-        (["--field", "7^4:1,1,0,0,1", "--poly", "x1*x2+{0,1}*x1^3+{1,1}", "-n", "2",
-          "-N", "3000", "--seed", "2"], (3000, 3, None)),
-        (["--field", "3^2:1,0,1", "--poly", "(x1 + {0,1}*x2)*(x2 + x3 + 1)", "-n", "3",
-          "--seed", "5"], (3889, 802, "LikelyReducible")),
-    ],
-)
-def test_run_extension_field_counts_are_pinned(capsys, argv, want):
-    # taken when extension elements were coordinate tuples, not indices
-    code, out, _ = run_cli(capsys, "run", *argv)
-    payload = json.loads(out)
-    assert (payload["N"], payload["k"], payload.get("outcome")) == want
-    assert code == (3 if want[2] else 0)
-
-
+# ids without the exit code, as this test's cases have always been named
 @pytest.mark.parametrize(
     "argv, want, want_code",
-    [
-        # a sampled verdict at the compat plan, from lane-packed Philox batches
-        (["--poly", "x1*x2 + x3", "-q", "7", "-n", "3", "--compat-s258", "--seed", "1"],
-         (28373, 4056), 0),
-        # about half the words are rejected over GF(2147483659)
-        (["--poly", "x1^1073741829*x2^1073741829 - 1", "-q", "2147483659", "-n", "2",
-          "-N", "2000", "--seed", "1"], (2000, 1007), 0),
-        # points of 10 coordinates take 3 blocks each
-        (["--fixture", "singular", "-q", "3", "--ext-bound", "2", "-N", "300", "--seed", "1"],
-         (300, 118), 0),
-        (["--poly", "x1*x2*x3*x4*x5*x6*x7*x8*x9*x10 + x1 + 2", "-q", "3", "-n", "10",
-          "-N", "3000", "--seed", "4"], (3000, 1041), 0),
-        # trap fixtures from bulk coefficient draws, through the value table
-        (["--fixture", "trap", "-q", "7", "--fixture-seed", "3", "--exact"], (2401, 605), 0),
-        (["--fixture", "trap", "-q", "13", "--fixture-seed", "3", "--exact"], (28561, 2165), 0),
-        # mod 7 the trap is caught as reducible, mod 11 it is kept
-        (["--fixture", "trap", "-q", "7", "--fixture-seed", "3", "--compat-s258", "--seed", "5"],
-         (647, 161), 3),
-        (["--fixture", "trap", "-q", "11", "--fixture-seed", "3", "--compat-s258",
-          "--seed", "5"], (634, 62), 0),
-        # the parser merges meeting terms and drops zero sums, over F_7 and GF(9)
-        (["--poly", "(x1 + 1)*(x1 - 1) - x1^2 + 1", "-q", "7", "-n", "1", "--exact"],
-         (7, 7), 0),
-        (["--poly", "0*x1*(x2 + 1) + (x1 - x1)*x2 + x2*(x1 + {0,1})", "--field", "3^2:1,0,1",
-          "-n", "2", "--exact"], (81, 17), 0),
-        # every GF(2) cubic form through the lane-packed singular probe
-        (["--fixture", "singular", "-q", "2", "--ext-bound", "4", "--exact"], (1024, 688), 0),
-        # every GF(3) conic through the GF(9) stage
-        (["--fixture", "singular", "-q", "3", "-d", "2", "--ext-bound", "2", "--exact"],
-         (729, 261), 0),
-        # GF(2^10), the largest field with tables
-        (["--field", "2^10:1,0,0,1,0,0,0,0,0,0,1", "--poly", "x1^3 + {0,1}*x1 + 1", "-n", "1",
-          "--exact"], (1024, 3), 0),
-        # about a third of the 64-bit draws are rejected over GF(6148914691236517223)
-        (["--poly", "x1^3074457345618258611*x2^3074457345618258611 - 1",
-          "-q", "6148914691236517223", "-n", "2", "-N", "2000", "--seed", "1"], (2000, 973), 0),
-        # odd-p cubics through a GF(25) stage: the value first, partials where it is zero
-        (["--fixture", "singular", "-q", "5", "-d", "3", "--ext-bound", "2", "-N", "60",
-          "--seed", "1"], (60, 19), 0),
-        # 64 coordinates take 16 blocks each: Philox calls of 4,096, 4,096 and 1,408 lanes
-        (["--poly", "x1*x2 + x64", "-q", "7", "-n", "64", "-N", "600", "--seed", "1"],
-         (600, 96), 0),
-    ],
+    [pytest.param(*pin, id=f"argv{i}-want{i}") for i, pin in enumerate(EXTENSION_PINS)],
 )
+def test_run_extension_field_counts_are_pinned(capsys, argv, want, want_code):
+    check(argv, want, want_code, *run_cli(capsys, "run", *argv)[:2])
+
+
+@pytest.mark.parametrize("argv, want, want_code", PINS)
 def test_run_console_counts_are_pinned(capsys, argv, want, want_code):
     # the console-script pins, run in process
-    code, out, _ = run_cli(capsys, "run", *argv)
-    payload = json.loads(out)
-    assert (payload["N"], payload["k"]) == want
-    assert code == want_code
+    check(argv, want, want_code, *run_cli(capsys, "run", *argv)[:2])
 
 
 def test_run_epsilon_out_of_range(capsys):
@@ -501,6 +442,15 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", "-1"),
         ("run", "--fixture", "trap", "-q", "7", "-N", "10", "--fixture-seed", str(2**64)),
         ("plan", "-q", str(10**400), "-n", "2"),
+        # a refusal names a number of more than 20 digits by its bit length
+        ("run", "--poly", "x1", "-q", str(10**400), "-n", "1", "-N", "10"),
+        ("run", "--poly", "x1", "--field", str(10**400 + 1), "-n", "1", "-N", "10"),
+        ("dist", "--kind", "single", "-q", str(10**400), "-n", "1"),
+        ("dist", "--kind", "substitution", "-q", str(10**400), "--x-count", "1", "--m", "2"),
+        ("dist", "--kind", "intersection", "-q", "2", "-n", "1", "--x-count", str(10**400)),
+        ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", str(10**400)),
+        ("run", "--fixture", "trap", "-q", "7", "-N", "5", "--fixture-seed", str(10**400)),
+        ("dist", "--kind", "det", "-q", str(10**4000), "--rows", "100", "--cols", "100"),
     ],
 )
 def test_oversized_inputs_exit_fast(capsys, argv):
@@ -508,6 +458,7 @@ def test_oversized_inputs_exit_fast(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith("error:")
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
 def test_run_huge_exponent_is_fast(capsys):

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from irredtest import (
-    DEFAULT_MODULI,
     DivisionByZero,
     ExtensionField,
     FieldSpec,
@@ -25,6 +24,8 @@ from irredtest import (
     parse_poly,
 )
 from irredtest.fields import TABLE_CAP, _poly_is_irreducible, power_exceeds
+
+from conftest import PINNED_MODULI
 
 SMALL_FIELDS = [
     GF(2),
@@ -142,7 +143,7 @@ def test_make_field_rejects_composite_characteristic():
     for p in (1, 4, 6, 9, 15):
         with pytest.raises(NonPrimeCharacteristic):
             make_field(FieldSpec(p))
-    with pytest.raises(NonPrimeCharacteristic):
+    with pytest.raises(NonPrimeCharacteristic, match="^4 is not prime$"):
         GF(4, 2)
     # find_irreducible checks p before its scan, which no composite p ends
     start = time.perf_counter()
@@ -153,6 +154,10 @@ def test_make_field_rejects_composite_characteristic():
     for k in (0, -1):
         with pytest.raises(RangeError, match=f"extension degree must be >= 1, got {k}"):
             find_irreducible(2, k)
+    # past 20 digits p is named by its bit length: str() refuses 6,021 digits
+    for make in (lambda: GF(2**20000), lambda: find_irreducible(2**20000, 2)):
+        with pytest.raises(NonPrimeCharacteristic, match="^<20001-bit integer> is not prime$"):
+            make()
     # the constructor checks p itself: Z/4 would give inv(2) == 2 * 2 == 0
     with pytest.raises(NonPrimeCharacteristic):
         PrimeField(FieldSpec(4))
@@ -354,7 +359,7 @@ def _assert_tables_match_schoolbook(field, pairs):
 
 
 @pytest.mark.parametrize(
-    "p, k", [pk for pk in sorted(DEFAULT_MODULI) if pk[0] ** pk[1] <= 256], ids=str
+    "p, k", [pk for pk in sorted(PINNED_MODULI) if pk[0] ** pk[1] <= 256], ids=str
 )
 def test_tables_match_schoolbook_on_every_pair(p, k):
     field = GF(p, k)
@@ -373,16 +378,30 @@ def test_tables_match_schoolbook_on_a_sample(p, k):
 
 
 def test_fields_above_the_table_cap_stay_schoolbook():
-    field = GF(7, 4)
-    assert field.q > TABLE_CAP
-    rnd = random.Random(74)
-    for _ in range(50):
-        a = rnd.randrange(1, field.q)
-        b = rnd.randrange(field.q)
-        assert field.mul(a, field.inv(a)) == field.one
-        assert field.sub(field.add(a, b), b) == a
-        assert field.pow(a, field.q - 1) == field.one
-    assert field._log == []
+    for field, seed in ((GF(7, 4), 74), (GF(2, 16), 216)):
+        assert field.q > TABLE_CAP
+        rnd = random.Random(seed)
+        big = 10**9 + 7
+        for _ in range(50):
+            a = rnd.randrange(1, field.q)
+            b = rnd.randrange(field.q)
+            assert field.mul(a, field.inv(a)) == field.one
+            assert field.sub(field.add(a, b), b) == a
+            assert field.pow(a, field.q - 1) == field.one
+            # powers against repeated products, from either operand
+            for x in (a, b):
+                power = field.one
+                for e in range(7):
+                    assert field.pow(x, e) == power, (x, e)
+                    power = field.mul(power, x)
+            inverse = field.inv(a)
+            for e in range(7):
+                assert field.pow(a, -e) == field.pow(inverse, e), (a, e)
+            assert field.pow(a, big) == field.pow(a, big % (field.q - 1))
+        assert field.pow(field.zero, 0) == field.one
+        with pytest.raises(DivisionByZero):
+            field.pow(field.zero, -1)
+        assert field._log == []
 
 
 def test_tables_are_built_per_field_on_first_use():
@@ -417,9 +436,9 @@ def test_pickle_rebuilds_a_field_without_its_tables():
 
 
 def test_default_moduli_match_search():
-    for (p, k), modulus in DEFAULT_MODULI.items():
+    for (p, k), modulus in PINNED_MODULI.items():
         assert find_irreducible(p, k) == modulus
-        GF(p, k)  # constructing re-verifies irreducibility
+        assert GF(p, k).modulus == modulus  # constructing re-verifies irreducibility
 
 
 def test_fields_compare_by_spec():

@@ -27,7 +27,6 @@ from irredtest import (
     random_dense_poly,
     total_degree,
 )
-from irredtest.fields import DEFAULT_MODULI
 from irredtest.polynomials import (
     _MAX_ENTRIES,
     _horner,
@@ -37,7 +36,7 @@ from irredtest.polynomials import (
     _value_table,
 )
 
-from conftest import all_points, naive_eval
+from conftest import PINNED_MODULI, all_points, naive_eval
 
 F2 = GF(2)
 F3 = GF(3)
@@ -146,6 +145,10 @@ def test_parse_error_positions():
         ("x1^\u00b2", 3, "unexpected character"),
         ("x\u00b2", 0, "numeric index"),
         ("\u0663*x1", 0, "unexpected character"),
+        # past sys.get_int_max_str_digits() digits, int() refuses the run
+        ("9" * 5000, 0, "5000 digits exceeds"),
+        ("x1^" + "9" * 5000, 3, "5000 digits exceeds"),
+        ("x" + "1" * 5000, 0, "5000 digits exceeds"),
     ):
         with pytest.raises(PolySyntaxError, match=message) as info:
             parse_poly(text, F7, 1)
@@ -224,9 +227,9 @@ def test_evaluate_against_naive_oracle_extension():
         assert f.evaluate(pt) == naive_eval(f, pt)
 
 
-# prime fields, and every shipped extension: on tables up to TABLE_CAP, and
-# GF(7^4), above it, on schoolbook arithmetic
-ORACLE_FIELDS = [GF(p) for p in (2, 3, 7, 13)] + [GF(p, k) for p, k in DEFAULT_MODULI]
+# prime fields, and GF(p, k) at every pinned default modulus: on tables up to
+# TABLE_CAP, and GF(7^4), above it, on schoolbook arithmetic
+ORACLE_FIELDS = [GF(p) for p in (2, 3, 7, 13)] + [GF(p, k) for p, k in PINNED_MODULI]
 
 
 @settings(max_examples=150, deadline=None)

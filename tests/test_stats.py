@@ -79,6 +79,10 @@ def test_gamma_model_parameters():
         gamma_model(2, 64)
     with pytest.raises(OrderOverflow):
         gamma_model(3, 10**12)  # rejected by the exponent, never built
+    # past 20 digits a refusal names q by its bit length: 5,001 digits are
+    # more than str() converts by default
+    with pytest.raises(OrderOverflow, match=r"^<16610-bit integer>\^1 points"):
+        gamma_model(10**5000, 1)
 
 
 def test_gamma_normal_approx_published_values():
