@@ -24,7 +24,7 @@ from .blackbox import (
     singular_curve_bb,
     ternary_monomials,
 )
-from .errors import Error, OrderOverflow, TooLarge, _shown
+from .errors import Error, OrderOverflow, RangeError, TooLarge, _integer, _quoted, _shown
 from .estimator import (
     INFEASIBLE,
     LIKELY_REDUCIBLE,
@@ -62,7 +62,16 @@ def _fraction(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a fraction: {_quoted(text)}") from None
+
+
+def _int(text):
+    """argparse type of every integer option: errors._integer, whose refusal
+    quotes at most 20 characters of the text, as a usage error."""
+    try:
+        return _integer(text)
+    except RangeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed(text):
@@ -71,10 +80,7 @@ def _seed(text):
     The generator is keyed by 64 bits; a seed outside that range would be
     reduced silently, so -1 would give the run of 2^64 - 1.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed outside [0, 2^64): {_shown(value)!r}")
     return value
@@ -94,8 +100,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plan = sub.add_parser("plan", parents=[common], help="sampling plan for one (q, n)")
-    p_plan.add_argument("-q", type=int, required=True)
-    p_plan.add_argument("-n", type=int, required=True)
+    p_plan.add_argument("-q", type=_int, required=True)
+    p_plan.add_argument("-n", type=_int, required=True)
     p_plan.set_defaults(handler=cmd_plan)
 
     p_table = sub.add_parser("table", parents=[common], help="reference grid as CSV")
@@ -103,16 +109,16 @@ def _build_parser():
     p_table.set_defaults(handler=cmd_table)
 
     p_run = sub.add_parser("run", parents=[common], help="sample an oracle")
-    p_run.add_argument("-q", type=int, help="prime field order shorthand")
+    p_run.add_argument("-q", type=_int, help="prime field order shorthand")
     p_run.add_argument("--field", help="field spec, e.g. 7 or 2^4:1,1,0,0,1")
-    p_run.add_argument("-n", type=int, help="number of variables (with --poly)")
+    p_run.add_argument("-n", type=_int, help="number of variables (with --poly)")
     p_run.add_argument("--poly", help="polynomial text over x1..xn")
     p_run.add_argument("--matrix", help="matrix file; oracle is the rank-drop locus")
     p_run.add_argument("--fixture", choices=("trap", "curve", "singular"))
     p_run.add_argument("--fixture-seed", type=_seed, help="fixture seed (fixture trap; default 0)")
-    p_run.add_argument("-d", "--degree", type=int, help="form degree (fixture singular; default 3)")
-    p_run.add_argument("--ext-bound", type=int, help="extension search bound (fixture singular)")
-    p_run.add_argument("-N", "--samples", type=int, help="estimate only, with this many draws")
+    p_run.add_argument("-d", "--degree", type=_int, help="form degree (fixture singular; default 3)")
+    p_run.add_argument("--ext-bound", type=_int, help="extension search bound (fixture singular)")
+    p_run.add_argument("-N", "--samples", type=_int, help="estimate only, with this many draws")
     p_run.add_argument("--exact", action="store_true", help="exhaustive count instead of sampling")
     p_run.add_argument("--seed", type=_seed, default=0)
     p_run.set_defaults(handler=cmd_run)
@@ -120,15 +126,15 @@ def _build_parser():
     p_dist = sub.add_parser("dist", help="zero-count distributions")
     p_dist.add_argument("--kind", required=True,
                         choices=("single", "product", "intersection", "substitution", "det"))
-    p_dist.add_argument("-q", type=int, required=True)
-    p_dist.add_argument("-n", type=int, help="number of variables (not det; default 1)")
-    p_dist.add_argument("--x-count", type=int,
+    p_dist.add_argument("-q", type=_int, required=True)
+    p_dist.add_argument("-n", type=_int, help="number of variables (not det; default 1)")
+    p_dist.add_argument("--x-count", type=_int,
                         help="size of the fixed point set (intersection, substitution)")
-    p_dist.add_argument("--m", type=int, help="target dimension (substitution)")
+    p_dist.add_argument("--m", type=_int, help="target dimension (substitution)")
     p_dist.add_argument("--gamma-x", type=_fraction,
                         help="target density as a fraction, e.g. 1/3 (substitution)")
-    p_dist.add_argument("--rows", type=int, help="matrix rows (det; default 2)")
-    p_dist.add_argument("--cols", type=int, help="matrix columns (det; default 2)")
+    p_dist.add_argument("--rows", type=_int, help="matrix rows (det; default 2)")
+    p_dist.add_argument("--cols", type=_int, help="matrix columns (det; default 2)")
     p_dist.set_defaults(handler=cmd_dist)
     return parser
 

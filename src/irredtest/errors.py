@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and _shown for the numbers
-in their messages."""
+"""Exception types shared across the package, _shown and _quoted for the
+numbers and text in their messages, and _integer for numbers read from input."""
+
+import sys
 
 
 def _shown(n: int) -> str:
@@ -9,6 +11,27 @@ def _shown(n: int) -> str:
     if -10**20 < n < 10**20:
         return str(n)
     return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
+def _quoted(text: str) -> str:
+    """Input text as a refusal message quotes it: in full up to 40
+    characters, past that its first 20 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _integer(text: str) -> int:
+    """int(text) for a number read from input; a refusal is a RangeError that
+    quotes the text through _quoted.  Past sys.get_int_max_str_digits()
+    digits int() refuses even a well-formed number, so a long text's refusal
+    names that limit."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        within = f" of at most {limit} digits" if len(text) > 40 and limit else ""
+        raise RangeError(f"not an integer{within}: {_quoted(text)}") from None
 
 
 class Error(Exception):

@@ -30,6 +30,8 @@ from .errors import (
     RangeError,
     ReducibleModulus,
     UnsupportedSize,
+    _integer,
+    _quoted,
     _shown,
 )
 
@@ -102,7 +104,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.k < 1:
-            raise RangeError(f"extension degree must be >= 1, got {self.k}")
+            raise RangeError(f"extension degree must be >= 1, got {_shown(self.k)}")
         if self.k == 1 and self.modulus is not None:
             raise RangeError("prime fields take no modulus")
         if self.k > 1:
@@ -110,7 +112,7 @@ class FieldSpec:
                 raise RangeError("extension fields need an explicit modulus")
             if len(self.modulus) != self.k + 1:
                 raise RangeError(
-                    f"modulus must list {self.k + 1} coefficients, got {len(self.modulus)}"
+                    f"modulus must list {_shown(self.k + 1)} coefficients, got {len(self.modulus)}"
                 )
 
     @classmethod
@@ -119,15 +121,15 @@ class FieldSpec:
         text = text.strip()
         try:
             if "^" not in text:
-                return cls(p=int(text))
+                return cls(p=_integer(text))
             head, _, tail = text.partition("^")
             kpart, colon, coeffs = tail.partition(":")
             if not colon:
                 raise ValueError("missing modulus")
-            modulus = tuple(int(c) for c in coeffs.split(","))
-            return cls(p=int(head), k=int(kpart), modulus=modulus)
+            modulus = tuple(map(_integer, coeffs.split(",")))
+            return cls(p=_integer(head), k=_integer(kpart), modulus=modulus)
         except ValueError as exc:
-            raise RangeError(f"bad field spec {text!r}: {exc}") from None
+            raise RangeError(f"bad field spec {_quoted(text)}: {exc}") from None
 
     def __str__(self):
         if self.k == 1:

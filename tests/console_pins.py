@@ -78,6 +78,9 @@ PINS = [
     # calls of 4,096, 4,096 and 1,408 lanes
     (["--poly", "x1*x2 + x64", "-q", "7", "-n", "64", "-N", "600", "--seed", "1"],
      (600, 96), 0),
+    # cubics at the default bound (3-1)^2 = 4: stage tables over GF(3), GF(9),
+    # GF(27) and GF(81), built column by column
+    (["--fixture", "singular", "-q", "3", "-N", "20", "--seed", "1"], (20, 10), 0),
 ]
 
 _TERM_10000 = "*".join(f"x{i}" for i in range(1, 10001)) + " + 1"

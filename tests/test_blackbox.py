@@ -34,7 +34,7 @@ from irredtest import (
     substitute_bb,
     ternary_monomials,
 )
-from irredtest.blackbox import _has_zero_lane
+from irredtest.blackbox import _build_stage, _has_zero_lane
 
 from conftest import all_points, naive_det, naive_rank
 
@@ -262,6 +262,12 @@ def test_matrix_file_errors():
         parse_matrix_text("2 2 1\nx1\nx1\nx1\nx1\n")  # short header
     with pytest.raises(RangeError, match="bad matrix header '2 x 4 7'"):
         parse_matrix_text("2 x 4 7\n")
+    # a header number past int()'s digit limit is quoted by its length
+    with pytest.raises(RangeError, match=r"\(5000 characters\)$") as info:
+        parse_matrix_text(f"2 2 {'9' * 5000} 7\nx1\n")
+    assert len(str(info.value)) < 200
+    with pytest.raises(RangeError, match=r"\(5999 characters\)$"):
+        parse_matrix_text("a " * 3000 + "\n")
     with pytest.raises(RangeError):
         parse_matrix_text("2 2 1 5\nx1\nx1\nx1\n")  # missing entry
     extension = "1 1 1 2^2:1,1,1\n{1,1}*x1\n"
@@ -507,6 +513,63 @@ def test_singular_odd_and_extension_samples_are_pinned(case):
     assert (bits.count("1"), hashlib.sha256(bits.encode()).hexdigest()) == (singular, digest)
 
 
+def naive_stage(field, e, d):
+    """Per projective point over the degree-e extension, in _build_stage's
+    order, the (value, dx, dy, dz) of every degree-d monomial, by E.pow and
+    E.mul at that point."""
+    E, _ = extension_of(field, e)
+    p, els = field.p, list(E.elements())
+    points = [(E.one, y, z) for y in els for z in els]
+    points += [(E.zero, E.one, z) for z in els] + [(E.zero, E.zero, E.one)]
+
+    def term(s, pt, exps):
+        if s % p == 0:
+            return E.zero
+        v = E.from_int(s)
+        for t, k in zip(pt, exps):
+            v = E.mul(v, E.pow(t, k))
+        return v
+
+    return [
+        [
+            (term(1, pt, (a, b, c)), term(a, pt, (a - 1, b, c)),
+             term(b, pt, (a, b - 1, c)), term(c, pt, (a, b, c - 1)))
+            for a, b, c in ternary_monomials(d)
+        ]
+        for pt in points
+    ]
+
+
+# every exponent up to 6 is a multiple of p somewhere here, so zero partial
+# columns come from p = 2, 3 and 5 (and 2 again for GF(4))
+STAGE_CASES = [(F2, e) for e in range(1, 5)]
+STAGE_CASES += [(field, e) for field in (F3, GF(2, 2), F5, GF(7)) for e in (1, 2)]
+
+
+@pytest.mark.parametrize("field, e", STAGE_CASES, ids=lambda c: str(getattr(c, "spec", c)))
+def test_stage_tables_match_naive_evaluation(field, e):
+    for d in range(1, 7):
+        want = naive_stage(field, e, d)
+        mons = ternary_monomials(d)
+        E, rows, scalars = _build_stage(field, e, mons, 10**7, False)
+        assert [list(zip(*row)) for row in rows] == want, d
+        assert scalars == [extension_of(field, e)[1](a) for a in field.elements()]
+        if field.q != 2:
+            continue
+        columns, low, high = _build_stage(field, e, mons, 10**7, True)
+        bits = (E.q - 1).bit_length()
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= 4 * bits)
+        mask = (1 << 8 * width) - 1
+        assert low == sum(1 << 8 * width * i for i in range(len(want)))
+        assert high == low << (8 * width - 1)
+        for j, column in enumerate(columns):
+            for i, entries in enumerate(want):
+                lane = column >> 8 * width * i & mask
+                assert [lane >> t * bits & (1 << bits) - 1 for t in range(4)] == list(entries[j])
+                assert lane >> 4 * bits == 0
+            assert column >> 8 * width * len(want) == 0
+
+
 def lanes(values, width):
     """Little-endian lanes of `width` bytes, and the low and high masks."""
     acc = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
@@ -573,3 +636,20 @@ def test_singular_work_cap():
     assert bb.n == 10
     # rational singular points are still found under the shrunken bound
     assert bb.is_zero_at(form_coeffs(F5, 3, {(0, 2, 1): 1, (3, 0, 0): -1}))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # the default bound (d-1)^2 has 4,400 digits
+        ((10**2200, F3), r"^q\^\(3\*ext_bound\) = 3\^<14619-bit integer> exceeds"),
+        ((3, F3, 10**2200), r"^q\^\(3\*ext_bound\) = 3\^<7310-bit integer> exceeds"),
+        ((10**2200, F3, 1), r"^stage tables of <14616-bit integer> monomials x 13 points"),
+        ((-10**2200, F3), r"^form degree must be >= 1, got -<7309-bit integer>$"),
+        ((3, F3, -10**2200), r"^extension bound must be >= 1, got -<7309-bit integer>$"),
+    ],
+)
+def test_singular_refusals_show_huge_numbers_by_bit_length(args, message):
+    with pytest.raises((RangeError, UnsupportedSize), match=message) as info:
+        singular_curve_bb(*args)
+    assert len(str(info.value)) < 100

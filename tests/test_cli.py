@@ -451,6 +451,17 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", str(10**400)),
         ("run", "--fixture", "trap", "-q", "7", "-N", "5", "--fixture-seed", str(10**400)),
         ("dist", "--kind", "det", "-q", str(10**4000), "--rows", "100", "--cols", "100"),
+        # the singular oracle's refusals print the degree and bounds by bit length
+        ("run", "--fixture", "singular", "-q", "3", "-d", str(10**2200), "-N", "10"),
+        ("run", "--fixture", "singular", "-q", "3", "--ext-bound", str(10**2200), "-N", "10"),
+        # past int()'s 4,300-digit limit an option is quoted by its first 20
+        # characters and its length, not echoed
+        ("run", "--poly", "x1", "-q", "9" * 5000, "-n", "1", "-N", "10"),
+        ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "--seed", "9" * 5000),
+        ("run", "--fixture", "trap", "-q", "7", "-N", "5", "--fixture-seed", "9" * 5000),
+        ("dist", "--kind", "det", "-q", "2", "--rows", "9" * 5000),
+        ("dist", "--kind", "substitution", "-q", "2", "--gamma-x", "9" * 5000),
+        ("run", "--poly", "x1", "--field", "9" * 5000, "-n", "1", "-N", "10"),
     ],
 )
 def test_oversized_inputs_exit_fast(capsys, argv):
@@ -458,6 +469,14 @@ def test_oversized_inputs_exit_fast(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == "" and err.startswith("error:")
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
+def test_matrix_header_past_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "matrix.txt"
+    path.write_text(f"2 2 {'9' * 5000} 7\nx1\n")
+    code, out, err = run_cli(capsys, "run", "--matrix", str(path), "-N", "5")
+    assert code == 1 and out == "" and err.startswith("error: bad matrix header")
     assert err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
