@@ -56,6 +56,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _check_value(self, action, value):
+        # argparse's own refusal repeats the value in full
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quoted(value)} (choose from {choices})"
+            )
+
 
 def _fraction(text):
     """argparse type of --gamma-x; "1/0" is a usage error like "abc"."""
@@ -63,6 +71,14 @@ def _fraction(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction: {_quoted(text)}") from None
+
+
+def _float(text):
+    """argparse type of -e/--epsilon; its refusal quotes through _quoted."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {_quoted(text)}") from None
 
 
 def _int(text):
@@ -91,7 +107,7 @@ def _build_parser():
     """The argparse tree, built once per process; parsing leaves it as it was."""
     parser = _Parser(prog="irredtest", description=__doc__)
     common = _Parser(add_help=False)
-    common.add_argument("-e", "--epsilon", type=float, default=0.005)
+    common.add_argument("-e", "--epsilon", type=_float, default=0.005)
     common.add_argument(
         "--compat-s258",
         action="store_true",

@@ -18,6 +18,8 @@ antilog lookup at la + lb and a sum one Zech lookup, for p = 2 and odd p
 alike.  Each field object builds its own tables, from the schoolbook
 helpers below; bigger fields use those helpers throughout, a power as one
 _ring_pow on coordinates, as does Ben-Or's test, whose modulus may factor.
+make_field, and so GF and extension_of, returns one object per spec per
+process, so those tables are built once; the constructors build anew.
 """
 
 import functools
@@ -37,7 +39,8 @@ from .errors import (
 
 ORDER_CAP = 1 << 63
 # Extension fields of at most this order use log, antilog and Zech tables;
-# the largest build, GF(2^10), takes about 15 ms on a 2-vCPU Xeon.
+# the largest build, GF(2^10), takes about 15 ms on a 2-vCPU Xeon, once per
+# process through make_field and GF, and again for each direct constructor call.
 TABLE_CAP = 1 << 10
 
 
@@ -110,6 +113,8 @@ class FieldSpec:
         if self.k > 1:
             if self.modulus is None:
                 raise RangeError("extension fields need an explicit modulus")
+            # a tuple, so that the spec hashes: make_field keys its cache by spec
+            object.__setattr__(self, "modulus", tuple(self.modulus))
             if len(self.modulus) != self.k + 1:
                 raise RangeError(
                     f"modulus must list {_shown(self.k + 1)} coefficients, got {len(self.modulus)}"
@@ -318,8 +323,9 @@ class Field:
         return self.add(a, self.neg(b))
 
     def __reduce__(self):
-        # rebuilt from the spec: tables stay behind
-        return (type(self), (self.spec,))
+        # the spec only, tables stay behind: unpickling takes the process's
+        # own object for the spec, building it if there is none yet
+        return (make_field, (self.spec,))
 
 
 class PrimeField(Field):
@@ -506,10 +512,16 @@ class ExtensionField(Field):
         return "{" + ",".join(str(c) for c in self._coords(a)) + "}"
 
 
+@functools.lru_cache(maxsize=64)
 def make_field(spec) -> Field:
-    """The field of a FieldSpec, or of its string form; the constructor checks it."""
+    """The field of a FieldSpec, or of its string form; the constructor checks it.
+
+    One object per spec per process: a field is not changed once built, so
+    every call with an equal spec returns the same object, tables and all.
+    A refused spec raises and is not kept.  PrimeField(spec) and
+    ExtensionField(spec) still build a new object on every call."""
     if isinstance(spec, str):
-        spec = FieldSpec.parse(spec)
+        return make_field(FieldSpec.parse(spec))
     return (PrimeField if spec.k == 1 else ExtensionField)(spec)
 
 

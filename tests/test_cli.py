@@ -462,6 +462,11 @@ def test_dist_large_case_is_analytic_only(capsys):
         ("dist", "--kind", "det", "-q", "2", "--rows", "9" * 5000),
         ("dist", "--kind", "substitution", "-q", "2", "--gamma-x", "9" * 5000),
         ("run", "--poly", "x1", "--field", "9" * 5000, "-n", "1", "-N", "10"),
+        # argparse's own checks of a float and of a choice quote the same way
+        ("run", "--poly", "x1", "-q", "7", "-n", "1", "-N", "10", "-e", "a" * 5000),
+        ("run", "--fixture", "a" * 5000, "-q", "7"),
+        ("dist", "--kind", "a" * 5000, "-q", "2"),
+        ("table", "--which", "a" * 5000),
     ],
 )
 def test_oversized_inputs_exit_fast(capsys, argv):

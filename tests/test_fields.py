@@ -22,6 +22,7 @@ from irredtest import (
     is_prime,
     make_field,
     parse_poly,
+    singular_curve_bb,
 )
 from irredtest.fields import TABLE_CAP, _poly_is_irreducible, power_exceeds
 
@@ -405,11 +406,45 @@ def test_fields_above_the_table_cap_stay_schoolbook():
 
 
 def test_tables_are_built_per_field_on_first_use():
-    # first use is construction: every field object builds its own tables
-    first, second = GF(3, 2), GF(3, 2)
+    # first use is construction: every object the constructor makes builds
+    # its own tables, while GF and make_field hand out one object per spec
+    spec = GF(3, 2).spec
+    first, second = ExtensionField(spec), ExtensionField(spec)
     assert first == second and first._log and first._log == second._log
     assert first._log is not second._log and first._exp is not second._exp
     assert first._zech is not second._zech
+    assert GF(3, 2) is GF(3, 2) is make_field(spec) is make_field(str(spec))
+    assert GF(3, 2) is not first and GF(3, 2) == first
+
+
+@pytest.fixture
+def empty_field_cache():
+    make_field.cache_clear()
+    yield
+    make_field.cache_clear()
+
+
+def test_fields_are_built_once_per_spec(empty_field_cache, monkeypatch):
+    built = []
+    build_tables = ExtensionField._build_tables
+
+    def counted(self):
+        built.append(self.q)
+        return build_tables(self)
+
+    monkeypatch.setattr(ExtensionField, "_build_tables", counted)
+    for _ in range(2):
+        singular_curve_bb(3, GF(2), ext_bound=4)
+    assert sorted(built) == [4, 8, 16]
+    # a refused spec raises every time and is never kept
+    size = make_field.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NonPrimeCharacteristic):
+            make_field("4")
+    assert make_field.cache_info().currsize == size
+    assert make_field.cache_info().maxsize == 64
+    # a modulus given as a list makes the same spec, so the same field
+    assert make_field(FieldSpec(2, 2, [1, 1, 1])) is GF(2, 2)
 
 
 def test_tables_refuse_a_reducible_modulus():
@@ -422,14 +457,19 @@ def test_tables_refuse_a_reducible_modulus():
         ExtensionField(FieldSpec(7, 4, (0, 0, 0, 0, 1)))
 
 
-def test_pickle_rebuilds_a_field_without_its_tables():
-    for field in (GF(7), GF(3, 2), GF(2, 10)):
+def test_pickle_rebuilds_a_field_without_its_tables(empty_field_cache):
+    for args in ((7,), (3, 2), (2, 10)):
+        field = GF(*args)
         fresh = pickle.dumps(field)
         els = field.elements()
         field.mul(els[-1], els[-2])
         assert len(pickle.dumps(field)) == len(fresh)
-        copy = pickle.loads(pickle.dumps(field))
-        assert copy == field
+        # unpickling takes the process's own object for the spec, and
+        # builds a new one, tables and all, once that is gone
+        assert pickle.loads(fresh) is field
+        make_field.cache_clear()
+        copy = pickle.loads(fresh)
+        assert copy == field and copy is not field
         for a, b in itertools.product([*els[:20], *els[-20:]], repeat=2):
             assert copy.mul(a, b) == field.mul(a, b)
             assert copy.add(a, b) == field.add(a, b)
