@@ -34,6 +34,11 @@ class ProductTrapFixture:
     restores irreducibility.  Useful as a ground-truth pair for verdict
     testing: same integer polynomial, opposite expected answers depending
     on the reduction prime.
+
+    The maps are those make_product_trap_fixture builds: int coefficients
+    on tuples of TRAP_VARS ints >= 0.  reduce_mod and factors_mod adopt
+    their reductions unchecked, so a fixture made by hand must hold such
+    maps too.
     """
 
     seed: int
@@ -55,7 +60,7 @@ class ProductTrapFixture:
 def _reduce_int_poly(terms, field) -> SparsePolynomial:
     # from_int's c % p * one, without a method call per coefficient
     p, one = field.p, field.one
-    return SparsePolynomial(
+    return SparsePolynomial._adopt(
         field, TRAP_VARS, {e: c % p * one for e, c in terms.items() if c % p}
     )
 

@@ -34,6 +34,7 @@ from .errors import (
     RangeError,
     UnknownVariable,
     UnsupportedSize,
+    _shown,
 )
 from .fields import Field, power_exceeds
 
@@ -55,6 +56,8 @@ def monomials_up_to(n: int, d: int):
     """Yield exponent tuples with total degree <= d, graded lex ascending."""
     if n < 0:
         raise ArityMismatch(f"variable count must be >= 0, got {n}")
+    if n == 0:
+        d = min(d, 0)  # only degree 0 has a monomial, however large d is
     for t in range(d + 1):
         yield from _monomials_of_degree(n, t)
 
@@ -135,7 +138,15 @@ def _check_terms(terms, n, q):
 
 
 class SparsePolynomial:
-    """Immutable-by-convention term map over a shared field context."""
+    """Immutable-by-convention term map over a shared field context.
+
+    Term maps are checked once, where they enter.  The constructor checks
+    every map it is given, term by term, and copies it with zero
+    coefficients dropped.  The library's own producers (sums, negations
+    and products, parse_poly, random_dense_poly and the trap fixture's
+    reductions) build maps that are valid by construction, so they hand
+    them over through _adopt, with no check and no copy.
+    """
 
     __slots__ = ("field", "n", "terms", "_evaluator")
 
@@ -144,9 +155,15 @@ class SparsePolynomial:
             raise ArityMismatch(f"variable count must be >= 0, got {n}")
         self.field = field
         self.n = n
+        try:
+            keys, coeffs = terms.keys(), terms.values()
+        except AttributeError:
+            raise TypeError(
+                "terms must be a mapping from exponent tuples to coefficients,"
+                f" not {type(terms).__name__}"
+            ) from None
         # whole-map passes in C; the per-term loop runs only to name the
         # first offending term
-        keys, coeffs = terms.keys(), terms.values()
         chain, entries = itertools.chain, itertools.chain.from_iterable
         try:
             valid = not terms or (
@@ -163,6 +180,15 @@ class SparsePolynomial:
         self._evaluator = None
 
     # -- constructors --------------------------------------------------
+
+    @classmethod
+    def _adopt(cls, field, n, terms):
+        """The polynomial whose term map is `terms` itself, unchecked and
+        uncopied.  `terms` must be a dict that no one else holds, of tuples
+        of n ints >= 0 to nonzero elements of `field`."""
+        f = cls.__new__(cls)
+        f.field, f.n, f.terms, f._evaluator = field, n, terms, None
+        return f
 
     @classmethod
     def zero(cls, field, n):
@@ -193,11 +219,11 @@ class SparsePolynomial:
     def __add__(self, other):
         self._check(other)
         pairs = itertools.chain(self.terms.items(), other.terms.items())
-        return SparsePolynomial(self.field, self.n, _collect(pairs, self.field.add))
+        return SparsePolynomial._adopt(self.field, self.n, _collect(pairs, self.field.add))
 
     def __neg__(self):
         field = self.field
-        return SparsePolynomial(
+        return SparsePolynomial._adopt(
             field, self.n, {e: field.neg(c) for e, c in self.terms.items()}
         )
 
@@ -208,7 +234,7 @@ class SparsePolynomial:
         self._check(other)
         field = self.field
         terms = _product(self.terms, other.terms, field.add, field.mul)
-        return SparsePolynomial(field, self.n, terms)
+        return SparsePolynomial._adopt(field, self.n, terms)
 
     def __eq__(self, other):
         return (
@@ -538,20 +564,34 @@ def total_degree(f: SparsePolynomial) -> int:
     return max(sum(e) for e in f.terms)
 
 
+# exponent entries (variables x monomials) one random_dense_poly may build;
+# the 1,201 monomials in 1,200 variables of degree 1 hold about 1.44M
+_MAX_DENSE_ENTRIES = 1 << 21
+
+
 def random_dense_poly(field, n, d, stream) -> SparsePolynomial:
     """Independent uniform coefficient for every monomial of degree <= d.
 
     The coefficients are one stream.below_many(q, monomials) call, which
     reads the words of one next_below(q) per monomial in the
     monomials_up_to order, so the result is reproducible from
-    (field, n, d, stream position).
+    (field, n, d, stream position).  A shape of more than
+    _MAX_DENSE_ENTRIES exponent entries, n x C(n + d, d), raises
+    UnsupportedSize before the walk starts.
     """
     if d < 0:
         raise RangeError(f"degree must be >= 0, got {d}")
+    if n < 0:
+        raise ArityMismatch(f"variable count must be >= 0, got {n}")
+    # n (d + 1) <= n C(n + d, d) bounds n and d first, so comb stays cheap
+    if n * (d + 1) > _MAX_DENSE_ENTRIES or n * comb(n + d, d) > _MAX_DENSE_ENTRIES:
+        raise UnsupportedSize(
+            f"a dense polynomial of degree {_shown(d)} in {_shown(n)} variables"
+            f" passes {_MAX_DENSE_ENTRIES} exponent entries"
+        )
     mons = _monomials(n, d)
     coeffs = stream.below_many(field.q, len(mons))
-    # zeros dropped here are zeros the constructor need not check
-    return SparsePolynomial(field, n, dict(itertools.compress(zip(mons, coeffs), coeffs)))
+    return SparsePolynomial._adopt(field, n, dict(itertools.compress(zip(mons, coeffs), coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -744,4 +784,5 @@ def parse_poly(text: str, field: Field, n: int) -> SparsePolynomial:
     kind, _, pos = parser.peek()
     if kind != "end":
         raise PolySyntaxError(f"unexpected {kind!r} after expression", pos)
-    return SparsePolynomial(field, n, terms)
+    # the tokens give int exponents >= 0 and field operations every coefficient
+    return SparsePolynomial._adopt(field, n, terms)

@@ -28,7 +28,9 @@ from irredtest import (
     total_degree,
 )
 from irredtest.polynomials import (
+    _MAX_DENSE_ENTRIES,
     _MAX_ENTRIES,
+    _check_terms,
     _horner,
     _monomials,
     _product,
@@ -564,6 +566,9 @@ def test_constructor_validation():
             SparsePolynomial(F7, 1, {key: 1})
     # a key that is a sequence of ints is stored as a tuple
     assert SparsePolynomial(F7, 2, {b"\x01\x02": 3}).terms == {(1, 2): 3}
+    # the terms are a mapping, not a list of pairs
+    with pytest.raises(TypeError, match="^terms must be a mapping from exponent tuples to coeff"):
+        SparsePolynomial(F7, 2, [((1, 0), 1)])
 
 
 def naive_product(a, b, add, mul):
@@ -626,6 +631,8 @@ def test_monomials_up_to_count_and_order():
     assert mons == sorted(mons, key=lambda e: (sum(e), e))
     assert len(set(mons)) == len(mons)
     assert list(monomials_up_to(0, 3)) == [()]
+    # with no variables the walk stops at degree 0, however large d is
+    assert list(monomials_up_to(0, 10**18)) == [()]
     with pytest.raises(ArityMismatch, match="variable count must be >= 0, got -1"):
         list(monomials_up_to(-1, 2))
 
@@ -648,6 +655,19 @@ def test_random_dense_poly_in_many_variables():
     stream = RandomStream(2, stream=0)
     for pt in ((1,) * 1200, tuple(stream.next_below(2) for _ in range(1200))):
         assert f.evaluate(pt) == naive_eval(f, pt)
+
+
+def test_random_dense_poly_refuses_large_shapes_before_the_walk():
+    # 60 x C(68, 8), about 3.9e11 exponent entries, is refused at once
+    start = time.perf_counter()
+    for n, d in ((60, 8), (1, 1 << 21), (1 << 21, 1), (2000, 10**100)):
+        with pytest.raises(UnsupportedSize, match=f"passes {_MAX_DENSE_ENTRIES} exponent"):
+            random_dense_poly(F7, n, d, RandomStream(1))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ArityMismatch, match="variable count must be >= 0, got -1"):
+        random_dense_poly(F7, -1, 0, RandomStream(1))
+    # no variables: one monomial, whatever the degree
+    assert random_dense_poly(F7, 0, 10**18, RandomStream(1)).n == 0
 
 
 def test_large_monomial_walks_are_not_kept():
@@ -711,3 +731,52 @@ def test_total_degree():
         f = random_dense_poly(F101, 2, 3, s)
         g = random_dense_poly(F101, 2, 4, s)
         assert total_degree(f * g) == total_degree(f) + total_degree(g)
+
+
+def _assert_adopted(h, *operands):
+    """h's term map is one the checking constructor accepts and keeps as it
+    is, key order included, and it is h's own: no operand shares it."""
+    _check_terms(h.terms, h.n, h.field.q)
+    rebuilt = SparsePolynomial(h.field, h.n, h.terms)
+    assert rebuilt == h and list(rebuilt.terms) == list(h.terms)
+    before = [dict(f) for f in operands]
+    h.terms.clear()
+    h.terms[("mutated",)] = 1
+    assert [dict(f) for f in operands] == before
+
+
+ADOPTING_FIELDS = [F2, F7, GF9]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adopting_producers_build_what_the_constructor_would(data):
+    field = data.draw(st.sampled_from(ADOPTING_FIELDS))
+    n = data.draw(st.integers(0, 3))
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, 9, 2**64 + 3])] * n)
+    coeff = st.integers(1, field.q - 1)
+    f, g = (
+        SparsePolynomial(field, n, data.draw(st.dictionaries(exps, coeff, max_size=6)))
+        for _ in range(2)
+    )
+    for h, operands in (
+        (f + g, (f, g)),
+        (f - g, (f, g)),
+        (f - f, (f,)),
+        (-f, (f,)),
+        (f * g, (f, g)),
+        (parse_poly(format_poly(f), field, n), (f,)),
+    ):
+        _assert_adopted(h, *(x.terms for x in operands))
+    seed, d = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 4))
+    _assert_adopted(random_dense_poly(field, n, d, RandomStream(seed)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_trap_reductions_build_what_the_constructor_would(seed):
+    fx = make_product_trap_fixture(seed)
+    for field in (F7, GF(11), GF(13), GF9):
+        _assert_adopted(fx.reduce_mod(field), fx.f, fx.f1, fx.f2, fx.f3)
+        for factor in fx.factors_mod(field):
+            _assert_adopted(factor, fx.f, fx.f1, fx.f2, fx.f3)
